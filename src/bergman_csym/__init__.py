@@ -16,6 +16,7 @@ from .csym import (
     adjoint_monomial,
     conjugation_search,
     csym_residual,
+    elliptic_certificate,
     gram_column_zero,
     gram_exact,
     gram_truncated,
@@ -40,6 +41,7 @@ from .errors import (
     ExponentOutOfRangeError,
     IdentityMapError,
     IntegerBetaError,
+    InvalidInputError,
     NonIntegerBetaError,
     NotAnEigenvectorError,
     NotHyperbolicError,

@@ -30,7 +30,6 @@ from .lft import (
     MapKind,
     classify,
     dilation_about,
-    elliptic_order,
     fixed_points,
     involution,
     make,
@@ -40,17 +39,16 @@ from .lft import (
 from .lft import compose as compose_maps
 from .series import TruncatedSeries, compose
 from .space import SpaceParams, inner_product, kernel_series
-from .operators import composition_matrix, hurst_factors, verify_hurst
+from .operators import composition_matrix, verify_hurst
 from .csym import (
     conjugation_search,
-    gram_column_zero,
+    elliptic_certificate,
     gram_exact,
     gram_truncated,
     obstruction_witness,
     subspace_orthogonality,
 )
 from .dynamics import denjoy_wolff, hurst_eigencheck, iterate
-from .errors import IdentityMapError
 
 _SCHEMA = "bergman-csym/1"
 
@@ -107,14 +105,11 @@ def _f(x) -> str:
 
 def _c(z) -> list:
     z = complex(z)
-    return [("f", z.real), ("f", z.imag)]
+    return [z.real, z.imag]
 
 
 def _json_value(value) -> str:
-    # Tagged floats keep int-vs-float intent explicit; everything else is
-    # dispatched on type.  Dict order is emission order.
-    if isinstance(value, tuple) and len(value) == 2 and value[0] == "f":
-        return _f(value[1])
+    # Dict order is emission order.
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -149,35 +144,25 @@ def _csv_rows(rows) -> str:
 def _cmd_classify(args):
     phi = _symbol_from_args(args)
     report = classify(phi)
-    fields = {"kind": report.kind.value, "is_automorphism": report.is_automorphism}
-    points = []
-    dw_fields = {"dw": None, "dw_route": None}
+    fields = {
+        "kind": report.kind.value,
+        "is_automorphism": report.is_automorphism,
+        "fixed_points": [],
+        "dw": None,
+        "dw_route": None,
+    }
+    summary = f"kind={report.kind.value}"
     if report.kind is not MapKind.IDENTITY:
         fps = fixed_points(phi)
-        for point, location, mult in zip(fps.points, fps.locations, fps.multipliers):
-            finite = point is not None and np.isfinite(complex(point))
-            points.append({
-                "point": _c(point) if finite else "inf",
-                "location": location,
-                "multiplier": _c(mult),
-            })
-        try:
-            dw = denjoy_wolff(phi)
-            dw_fields = {"dw": _c(dw.point), "dw_route": dw.route}
-        except IdentityMapError:  # pragma: no cover - identity filtered above
-            pass
-    fields["fixed_points"] = points
-    fields.update(dw_fields)
-    payload = _json_payload(fields)
-    if dw_fields["dw"] is None:
-        summary = f"kind={report.kind.value}"
-    else:
-        dw = dw_fields["dw"]
-        summary = (
-            f"kind={report.kind.value} dw={_f(dw[0][1])}{'+' if dw[1][1] >= 0 else ''}"
-            f"{_f(dw[1][1])}j route={dw_fields['dw_route']}"
-        )
-    return payload, summary
+        fields["fixed_points"] = [
+            {"point": _c(p) if np.isfinite(p) else "inf", "location": loc, "multiplier": _c(m)}
+            for p, loc, m in zip(fps.points, fps.locations, fps.multipliers)
+        ]
+        dw = denjoy_wolff(phi)
+        fields["dw"], fields["dw_route"] = _c(dw.point), dw.route
+        re, im = fields["dw"]
+        summary += f" dw={_f(re)}{'+' if im >= 0 else ''}{_f(im)}j route={dw.route}"
+    return _json_payload(fields), summary
 
 
 def _cmd_series(args):
@@ -197,7 +182,7 @@ def _cmd_matrix(args):
         payload = _csv_rows(rows)
     else:
         fields = {
-            "beta": ("f", args.beta),
+            "beta": args.beta,
             "dim": args.dim,
             "entries": [_c(z) for z in op.mat.reshape(-1)],
         }
@@ -224,11 +209,11 @@ def _cmd_kernel_check(args):
         direct = f(phi(alpha))
         worst = max(worst, abs(paired - direct))
     fields = {
-        "beta": ("f", args.beta),
+        "beta": args.beta,
         "dim": args.dim,
         "cases": args.cases,
         "seed": args.seed,
-        "max_error": ("f", worst),
+        "max_error": worst,
     }
     return _json_payload(fields), f"kernel check: max error {_f(worst)} over {args.cases} cases"
 
@@ -238,10 +223,10 @@ def _cmd_hurst_check(args):
     params = SpaceParams(args.beta)
     residual = verify_hurst(phi, params, args.dim - 1, args.block)
     fields = {
-        "beta": ("f", args.beta),
+        "beta": args.beta,
         "dim": args.dim,
         "block": args.block,
-        "residual": ("f", residual),
+        "residual": residual,
     }
     return _json_payload(fields), f"factorization residual {_f(residual)} on {args.block}x{args.block} block"
 
@@ -263,12 +248,12 @@ def _cmd_gram(args):
         payload = _csv_rows(rows)
     else:
         fields = {
-            "beta": ("f", args.beta),
+            "beta": args.beta,
             "alpha": _c(args.alpha),
             "size": table.size,
             "entries": [_c(z) for z in table.entries.reshape(-1)],
-            "max_in_band": ("f", table.max_in_band()),
-            "max_out_of_band": ("f", table.max_out_of_band()),
+            "max_in_band": table.max_in_band(),
+            "max_out_of_band": table.max_out_of_band(),
         }
         payload = _json_payload(fields)
     summary = (
@@ -282,13 +267,13 @@ def _cmd_subspace(args):
     params = SpaceParams(args.beta)
     report = subspace_orthogonality(params, args.alpha, args.order, args.count)
     fields = {
-        "beta": ("f", args.beta),
+        "beta": args.beta,
         "alpha": _c(args.alpha),
         "order": args.order,
         "count": args.count,
         "threshold": report.threshold,
         "guaranteed": report.guaranteed,
-        "max_cross": ("f", report.max_cross),
+        "max_cross": report.max_cross,
     }
     tag = "guaranteed" if report.guaranteed else "no guarantee (order below threshold)"
     return _json_payload(fields), f"max cross inner product {_f(report.max_cross)} [{tag}]"
@@ -297,11 +282,11 @@ def _cmd_subspace(args):
 def _cmd_witness(args):
     report = obstruction_witness(args.alpha, args.beta)
     fields = {
-        "beta": ("f", args.beta),
+        "beta": args.beta,
         "alpha": _c(args.alpha),
         "direct": _c(report.direct),
         "truncated": _c(report.truncated),
-        "difference": ("f", report.difference),
+        "difference": report.difference,
     }
     return (
         _json_payload(fields),
@@ -315,33 +300,23 @@ def _cmd_csym(args):
     op = composition_matrix(phi, params, args.dim - 1)
     result = conjugation_search(op, iters=args.iters, seed=args.seed)
     fields = {
-        "beta": ("f", args.beta),
+        "beta": args.beta,
         "dim": args.dim,
         "iters": args.iters,
         "seed": args.seed,
-        "best_trace": [("f", r) for r in result.best_trace],
-        "residuals": [("f", r) for r in result.residuals],
-        "final_residual": ("f", result.best_trace[-1]),
+        "best_trace": list(result.best_trace),
+        "residuals": list(result.residuals),
+        "final_residual": result.best_trace[-1],
     }
-    certificate = None
-    report = classify(phi)
-    if report.kind is MapKind.ELLIPTIC and report.is_automorphism and params.integer_beta:
-        fps = fixed_points(phi)
-        interior = [p for p, loc in zip(fps.points, fps.locations) if loc == "interior"]
-        mult = [m for p, loc, m in zip(fps.points, fps.locations, fps.multipliers) if loc == "interior"]
-        if interior:
-            order = elliptic_order(mult[0], 64)
-            if order is not None and order >= 2 * (3 + int(params.beta)):
-                sub = subspace_orthogonality(params, interior[0], order, 3)
-                certificate = {
-                    "order": order,
-                    "max_cross": ("f", sub.max_cross),
-                    "guaranteed": sub.guaranteed,
-                }
-    fields["subspace_certificate"] = certificate
+    sub = elliptic_certificate(phi, params)
+    fields["subspace_certificate"] = None if sub is None else {
+        "order": sub.order,
+        "max_cross": sub.max_cross,
+        "guaranteed": sub.guaranteed,
+    }
     summary = f"search residual {_f(result.best_trace[-1])} after {len(result.residuals)} iterations"
-    if certificate is not None:
-        summary += f"; subspace certificate max cross {_f(certificate['max_cross'][1])}"
+    if sub is not None:
+        summary += f"; subspace certificate max cross {_f(sub.max_cross)}"
     return _json_payload(fields), summary
 
 
@@ -371,12 +346,12 @@ def _cmd_eigencheck(args):
     params = SpaceParams(args.beta)
     residual = hurst_eigencheck(args.s, args.exponent, params, args.dim - 1, args.block)
     fields = {
-        "beta": ("f", args.beta),
+        "beta": args.beta,
         "s": _c(args.s),
-        "exponent": ("f", args.exponent),
+        "exponent": args.exponent,
         "dim": args.dim,
         "block": args.block if args.block is not None else (args.dim - 1) // 4,
-        "residual": ("f", residual),
+        "residual": residual,
     }
     return _json_payload(fields), f"eigen-relation residual {_f(residual)}"
 

@@ -35,10 +35,11 @@ from .errors import (
     ArgOutsideDiskError,
     DimMismatchError,
     IntegerBetaError,
+    InvalidInputError,
     NonIntegerBetaError,
     NotAnEigenvectorError,
 )
-from .lft import involution, to_series
+from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, to_series
 from .operators import (
     OperatorMatrix,
     _binomial_alpha_weights,
@@ -63,6 +64,7 @@ __all__ = [
     "gram_truncated",
     "gram_column_zero",
     "subspace_orthogonality",
+    "elliptic_certificate",
     "obstruction_witness",
     "conjugation_search",
 ]
@@ -220,20 +222,18 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     if abs(alpha) >= 1.0:
         raise ArgOutsideDiskError(f"need |alpha| < 1, got {alpha}")
     if size < 1:
-        raise ValueError("size must be at least 1")
+        raise InvalidInputError(f"size must be at least 1, got {size}")
     top = int(params.beta) + 2
     r = _binomial_alpha_weights(alpha, int(params.beta))
     w = weights(params, size - 1)
     prefactor = (1.0 - abs(alpha) ** 2) ** (-top)
     entries = np.zeros((size, size), dtype=np.complex128)
     for n in range(size):
-        for m in range(size):
+        for m in range(max(0, n - top), min(size, n + top + 1)):
             acc = 0.0 + 0.0j
-            for k in range(min(top, m) + 1):
-                j = k + n - m
-                if 0 <= j <= top:
-                    c_km = mzstar_on_monomial(params, k, m)[0]
-                    acc += np.conj(r[k]) * r[j] * c_km
+            for k in range(max(0, m - n), min(top, m, top + m - n) + 1):
+                c_km = mzstar_on_monomial(params, k, m)[0]
+                acc += np.conj(r[k]) * r[k + n - m] * c_km
             entries[n, m] = w[n] * prefactor * acc
     return GramTable(params.beta, alpha, entries)
 
@@ -308,7 +308,7 @@ def subspace_orthogonality(
     if not params.integer_beta:
         raise NonIntegerBetaError(f"subspace certificate needs integer beta, got {params.beta}")
     if order < 1 or count < 1:
-        raise ValueError("order and count must be positive")
+        raise InvalidInputError(f"order and count must be positive, got {order} and {count}")
     shift = int(params.beta) + 3
     size = (count - 1) * order + shift + 1
     table = gram_exact(params, alpha, size)
@@ -325,6 +325,22 @@ def subspace_orthogonality(
         threshold=threshold,
         guaranteed=order >= threshold,
     )
+
+
+def elliptic_certificate(phi: Lft, params: SpaceParams) -> SubspaceReport | None:
+    """Subspace certificate of an elliptic automorphism whose multiplier has order ``q <= 64``.
+
+    :func:`subspace_orthogonality` at the interior fixed point with order
+    ``q`` and three vectors per block; ``None`` for any other map, for
+    non-integer ``beta`` and for ``q < 2 (3 + beta)``.
+    """
+    if classify(phi).kind is not MapKind.ELLIPTIC or not params.integer_beta:
+        return None
+    alpha, mult = fixed_points(phi).interior()[0]
+    order = elliptic_order(mult, 64)
+    if order is None or order < 2 * (3 + int(params.beta)):
+        return None
+    return subspace_orthogonality(params, alpha, order, 3)
 
 
 @dataclass(frozen=True)
@@ -375,18 +391,6 @@ class SearchResult:
     residuals: np.ndarray
 
 
-def _pack_indices(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _unpack_symmetric(p: np.ndarray, n: int, pairs) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    for idx, (i, j) in enumerate(pairs):
-        m[i, j] = p[idx]
-        m[j, i] = p[idx]
-    return m
-
-
 def _symmetric_polar(m: np.ndarray) -> np.ndarray:
     """Nearest unitary to a symmetric matrix; symmetric again up to roundoff.
 
@@ -431,16 +435,15 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     n = t.dim
     s = t.mat.conj().T
     tbar = np.conj(t.mat)
-    pairs = _pack_indices(n)
-    npairs = len(pairs)
+    # A symmetric matrix is packed as its upper triangle in row-major order.
+    iu, ju = np.triu_indices(n)
+    npairs = iu.size
     # Intertwining map restricted to symmetric matrices, as a dense
     # (n^2, n(n+1)/2) matrix in row-major vec coordinates.
     lfull = np.kron(np.eye(n), s) - np.kron(s, np.eye(n))
     embed = np.zeros((n * n, npairs), dtype=np.complex128)
-    for idx, (i, j) in enumerate(pairs):
-        embed[i * n + j, idx] = 1.0
-        if i != j:
-            embed[j * n + i, idx] = 1.0
+    embed[iu * n + ju, np.arange(npairs)] = 1.0
+    embed[ju * n + iu, np.arange(npairs)] = 1.0
     bmat = lfull @ embed
     amat = bmat.conj().T @ bmat
     lam, vmat = np.linalg.eigh(amat)
@@ -448,17 +451,20 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     mu_ref = max(float(np.mean(lam)), 1e-300)
     ladder = mu_ref * np.array([30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-5])
 
-    def pack(u):
-        return np.array([u[i, j] for (i, j) in pairs], dtype=np.complex128)
+    def unpack(p):
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[iu, ju] = p
+        m[ju, iu] = p
+        return m
 
     def resid(u):
         return float(np.linalg.norm(u @ tbar @ u.conj().T - s))
 
     def ladder_step(u):
-        coeffs = vmat.conj().T @ pack(u)
+        coeffs = vmat.conj().T @ u[iu, ju]
         best = None
         for mu in ladder:
-            m = _unpack_symmetric(vmat @ (coeffs * (mu / (lam + mu))), n, pairs)
+            m = unpack(vmat @ (coeffs * (mu / (lam + mu))))
             cand = _symmetric_polar((m + m.T) / 2.0)
             r = resid(cand)
             if best is None or r < best[0]:
@@ -466,7 +472,7 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
         return best
 
     rng = np.random.default_rng(seed)
-    smallest = _unpack_symmetric(vmat[:, 0], n, pairs)
+    smallest = unpack(vmat[:, 0])
     starts = [np.eye(n, dtype=np.complex128), _symmetric_polar(smallest)]
     starts.append(_random_symmetric_unitary(rng, n))
 

@@ -21,6 +21,7 @@ from .errors import (
     EscapedDiskError,
     ExponentOutOfRangeError,
     IdentityMapError,
+    InvalidInputError,
     NotSelfMapError,
 )
 from .lft import Lft, MapKind, classify, fixed_points
@@ -72,7 +73,7 @@ def iterate(phi, z0: complex, steps: int) -> OrbitReport:
     was invalid.
     """
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise InvalidInputError(f"steps must be nonnegative, got {steps}")
     z = complex(z0)
     if abs(z) > 1.0 + _ESCAPE_SLACK:
         raise EscapedDiskError(f"seed {z} lies outside the closed disk")
@@ -110,16 +111,11 @@ def denjoy_wolff(phi: Lft) -> DenjoyWolffResult:
         raise IdentityMapError("the identity has no distinguished fixed point")
     rep = fixed_points(phi)
     if kind in (MapKind.ROTATION, MapKind.ELLIPTIC):
-        interior = [p for p, l in zip(rep.points, rep.locations) if l == "interior"]
-        return DenjoyWolffResult(point=interior[0], route="elliptic-no-dw")
+        return DenjoyWolffResult(point=rep.interior()[0][0], route="elliptic-no-dw")
     if kind in (MapKind.HYPERBOLIC_NONAUTOMORPHISM, MapKind.LOXODROMIC):
-        interior = [p for p, l in zip(rep.points, rep.locations) if l == "interior"]
-        return DenjoyWolffResult(point=interior[0], route="interior-fixed-point")
+        return DenjoyWolffResult(point=rep.interior()[0][0], route="interior-fixed-point")
     # Parabolic or hyperbolic automorphism: attractor is on the circle.
-    boundary = [
-        (p, m) for p, l, m in zip(rep.points, rep.locations, rep.multipliers) if l == "boundary"
-    ]
-    point, _ = min(boundary, key=lambda pm: abs(pm[1]))
+    point, _ = min(rep.boundary(), key=lambda pm: abs(pm[1]))
     return DenjoyWolffResult(point=point / abs(point), route="boundary-attracting")
 
 

@@ -5,6 +5,10 @@ class ToolkitError(Exception):
     """Base class for every error raised deliberately by this package."""
 
 
+class InvalidInputError(ToolkitError, ValueError):
+    """An argument is outside its documented domain: a NaN, a negative size, a zero count."""
+
+
 class DegenerateDenominatorError(ToolkitError):
     """A linear denominator c*z + d had d = 0, so no Maclaurin expansion exists."""
 

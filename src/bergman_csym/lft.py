@@ -37,6 +37,7 @@ from .errors import (
     ArgOutsideDiskError,
     DegenerateMapError,
     IdentityMapError,
+    InvalidInputError,
     NotHyperbolicError,
     NotSelfMapError,
     NotUnitaryError,
@@ -95,8 +96,8 @@ class Lft:
             abs(nb * np.conj(nd) - na * np.conj(nc)) + abs(ndet)
         )
         self.self_map_margin = float(margin)
-        self.is_self_map = margin >= -_SELF_MAP_SLACK
-        self.is_automorphism = self.is_self_map and abs(margin) <= _AUTOMORPHISM_SLACK
+        self.is_self_map = bool(margin >= -_SELF_MAP_SLACK)
+        self.is_automorphism = self.is_self_map and bool(abs(margin) <= _AUTOMORPHISM_SLACK)
         if self.is_automorphism:
             # Equality alone can be hit by non-automorphisms tangent to the
             # circle, so confirm on sampled boundary values.
@@ -161,6 +162,18 @@ class FixedPointReport:
     points: tuple
     locations: tuple
     multipliers: tuple
+
+    def _at(self, location: str) -> list:
+        pairs = zip(self.points, self.locations, self.multipliers)
+        return [(p, m) for p, loc, m in pairs if loc == location]
+
+    def interior(self) -> list:
+        """``(point, multiplier)`` pairs of the fixed points in the open disk."""
+        return self._at("interior")
+
+    def boundary(self) -> list:
+        """``(point, multiplier)`` pairs of the fixed points on the circle."""
+        return self._at("boundary")
 
 
 def make(a, b, c, d) -> Lft:
@@ -337,9 +350,8 @@ def hyperbolic_normal_form(phi: Lft):
             f"normal form needs an interior and a boundary fixed point, got {kind.value}"
         )
     rep = fixed_points(phi)
-    by_loc = dict(zip(rep.locations, rep.points))
-    alpha = by_loc["interior"]
-    bpoint = by_loc["boundary"]
+    alpha = rep.interior()[0][0]
+    bpoint = rep.boundary()[0][0]
     bpoint = bpoint / abs(bpoint)
     lam = involution(alpha)(bpoint)
     lam = lam / abs(lam)
@@ -369,6 +381,8 @@ def elliptic_order(lam, n_max: int):
 
 def to_series(phi: Lft, degree: int) -> TruncatedSeries:
     """Maclaurin expansion of a self-map: ``(b + a z)`` times ``1/(c z + d)``."""
+    if degree < 0:
+        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     if not phi.is_self_map:
         raise NotSelfMapError(f"{phi!r} is not a self-map; expansion on the disk is meaningless")
     numerator = TruncatedSeries([phi.b, phi.a])

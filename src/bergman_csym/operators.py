@@ -8,10 +8,10 @@ so the matrix of an operator adjoint is literally the conjugate transpose.
 A series ``f = sum f[n] z**n`` has coordinates ``f[n] * sqrt(w(n))``; the
 helpers :func:`to_coords` and :func:`from_coords` convert both ways.  A
 matrix of dimension D+1 is the compression of the infinite operator to
-degrees 0..D.  Compressions of products are not products of compressions,
-which is why the verification routines compare only a low-degree block of a
-much larger truncation: the entries of that block converge geometrically as
-the truncation degree grows.
+degrees 0..D.  Compressions of products are not products of compressions
+in general; they are when the left factors are lower triangular and the
+right factors upper triangular, which is what lets the adjoint
+factorization be checked exactly from low-degree blocks alone.
 
 The column of a composition matrix is explicit: column j of ``C_phi`` holds
 the coefficients of ``phi**j`` rescaled entrywise by ``sqrt(w(n)/w(j))``,
@@ -32,11 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import (
     ArgOutsideDiskError,
     DimMismatchError,
+    InvalidInputError,
     NonIntegerBetaError,
     NotSelfMapError,
 )
@@ -136,6 +136,8 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     is exact for polynomial symbols and carries only the tail truncation
     of the powers otherwise.
     """
+    if degree < 0:
+        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     phi = _symbol_series(symbol, degree)
     dim = degree + 1
     w = weights(params, degree)
@@ -159,10 +161,9 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     col = np.zeros(dim, dtype=np.complex128)
     n = min(dim, psi.coeffs.size)
     col[:n] = psi.coeffs[:n]
-    row = np.zeros(dim, dtype=np.complex128)
-    row[0] = col[0]
+    i = np.arange(dim)
     sqrtw = np.sqrt(weights(params, degree))
-    mat = toeplitz(col, row) * (sqrtw[:, None] / sqrtw[None, :])
+    mat = np.tril(col[i[:, None] - i[None, :]]) * (sqrtw[:, None] / sqrtw[None, :])
     return OperatorMatrix(mat, params)
 
 
@@ -226,26 +227,26 @@ def hurst_factors(phi: Lft, params: SpaceParams, degree: int):
 
 
 def verify_hurst(phi: Lft, params: SpaceParams, degree: int, block: int) -> float:
-    """Frobenius residual of the adjoint factorization on a low-degree block.
-
-    Builds all four matrices at the full ``degree`` and returns
+    """Frobenius residual of the adjoint factorization on a low-degree block:
 
         || (C_phi^H - M_g C_sigma M_h^H)[:block, :block] ||_F.
 
-    The block must satisfy ``block <= degree // 4`` so that truncation
-    leakage from the matrix products stays out of the compared entries.
+    ``M_g`` is lower and ``M_h^H`` upper triangular, so at any truncation
+    degree the block of the product is the product of the three
+    ``block x block`` blocks.  The residual is therefore built from matrices
+    of dimension ``block`` and does not depend on ``degree``, which only
+    caps ``block`` at ``degree // 4``.
     """
-    if block > degree // 4:
-        raise DimMismatchError(
-            f"block {block} too large for degree {degree}; need block <= degree/4"
-        )
-    g, sigma, h = hurst_factors(phi, params, degree)
-    cphi = composition_matrix(phi, params, degree)
-    csigma = composition_matrix(sigma, params, degree)
-    mg = multiplication_matrix(g, params, degree)
-    mh = multiplication_matrix(h, params, degree)
+    if not 1 <= block <= degree // 4:
+        raise DimMismatchError(f"block {block} outside [1, degree // 4] for degree {degree}")
+    block_degree = block - 1
+    g, sigma, h = hurst_factors(phi, params, block_degree)
+    cphi = composition_matrix(phi, params, block_degree)
+    csigma = composition_matrix(sigma, params, block_degree)
+    mg = multiplication_matrix(g, params, block_degree)
+    mh = multiplication_matrix(h, params, block_degree)
     resid = cphi.mat.conj().T - mg.mat @ csigma.mat @ mh.mat.conj().T
-    return float(np.linalg.norm(resid[:block, :block]))
+    return float(np.linalg.norm(resid))
 
 
 def _binomial_alpha_weights(alpha: complex, beta_int: int) -> np.ndarray:

@@ -12,7 +12,8 @@ space; for larger ``beta`` the weights decay like ``n**-(1+beta)``, which is
 why the monomials stay in the space while their normalizations grow.
 
 Integer ``beta`` is computed through exact integer factorials so the weights
-are correctly rounded; everything else goes through log-gamma.
+are correctly rounded; everything else goes through scipy's log-gamma,
+imported only then.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import ArgOutsideDiskError
+from .errors import ArgOutsideDiskError, InvalidInputError
 from .series import TruncatedSeries
 
 __all__ = [
@@ -48,7 +48,7 @@ class SpaceParams:
     def __post_init__(self):
         b = float(self.beta)
         if not math.isfinite(b) or b < -1.0:
-            raise ValueError(f"beta must be a finite real >= -1, got {self.beta!r}")
+            raise InvalidInputError(f"beta must be a finite real >= -1, got {self.beta!r}")
         object.__setattr__(self, "beta", b)
 
     @property
@@ -64,6 +64,7 @@ def _weights_cached(beta: float, n_max: int) -> np.ndarray:
         vals = [1.0 / math.comb(n + shift, shift) for n in range(n_max + 1)]
         arr = np.array(vals, dtype=np.float64)
     else:
+        from scipy.special import gammaln
         n = np.arange(n_max + 1, dtype=np.float64)
         arr = np.exp(gammaln(n + 1) + gammaln(2 + beta) - gammaln(n + 2 + beta))
         arr[0] = 1.0

@@ -315,3 +315,44 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["direct"] == [0.125, 0]
+
+
+def test_classify_contraction_is_not_an_automorphism(capsys):
+    code, out, err = run_cli(capsys, ["classify", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1"])
+    assert code == 0, err
+    assert '"is_automorphism":false' in out
+    assert json.loads(out)["dw"] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--beta", "-2", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1"],
+        ["matrix", "--beta", "nan", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1"],
+        ["gram", "--beta", "0", "--alpha", "0.5", "--n", "0"],
+        ["iterate", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--start", "0.3",
+         "--steps", "-1"],
+        ["subspace", "--beta", "0", "--alpha", "0.5", "--order", "0"],
+        ["matrix", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--dim", "0"],
+        ["series", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--degree", "-3"],
+    ],
+    ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
+         "negative-degree"],
+)
+def test_invalid_input_exits_with_code_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_integer_beta_commands_do_not_load_scipy():
+    script = (
+        "import sys, bergman_csym\n"
+        "from bergman_csym import cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert cli.main(['gram', '--beta', '0', '--alpha', '0.5']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

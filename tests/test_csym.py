@@ -1,5 +1,7 @@
 """Conjugations, symmetry residuals, Gram diagnostics, obstruction witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bergman_csym import (
     ConjugationMatrix,
     DimMismatchError,
     IntegerBetaError,
+    InvalidInputError,
     NonIntegerBetaError,
     NotAnEigenvectorError,
     OperatorMatrix,
@@ -17,20 +20,25 @@ from bergman_csym import (
     conjugation_search,
     csym_residual,
     dilation_about,
+    elliptic_certificate,
     gram_column_zero,
     gram_exact,
     gram_truncated,
+    hyperbolic_model,
     inner_product,
     involution,
     kernel_series,
+    mzstar_on_monomial,
     obstruction_witness,
     rotation,
     spectral_symmetry_check,
     subspace_orthogonality,
     to_coords,
     to_series,
+    weights,
 )
-from bergman_csym.csym import _random_symmetric_unitary
+from bergman_csym.csym import _random_symmetric_unitary, _symmetric_polar
+from bergman_csym.operators import _binomial_alpha_weights
 
 
 def random_symmetric_matrix(rng, n):
@@ -318,6 +326,33 @@ def test_gram_exact_requires_integer_parameter():
         gram_exact(SpaceParams(0.5), 0.4, 8)
 
 
+def _gram_full_table(params, alpha, size):
+    # Reference: every (n, m) pair and every k, keeping the legal ones.
+    top = int(params.beta) + 2
+    r = _binomial_alpha_weights(complex(alpha), int(params.beta))
+    w = weights(params, size - 1)
+    prefactor = (1.0 - abs(complex(alpha)) ** 2) ** (-top)
+    entries = np.zeros((size, size), dtype=np.complex128)
+    for n in range(size):
+        for m in range(size):
+            acc = 0.0 + 0.0j
+            for k in range(min(top, m) + 1):
+                j = k + n - m
+                if 0 <= j <= top:
+                    acc += np.conj(r[k]) * r[j] * mzstar_on_monomial(params, k, m)[0]
+            entries[n, m] = w[n] * prefactor * acc
+    return entries
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.3 + 0.4j])
+def test_gram_band_route_equals_full_table(beta, alpha):
+    params = SpaceParams(beta)
+    for size in (1, 2, 13, 40):
+        expected = _gram_full_table(params, alpha, size)
+        assert gram_exact(params, alpha, size).entries.tobytes() == expected.tobytes()
+
+
 def test_gram_at_zero_center_is_diagonal():
     from bergman_csym import weight
 
@@ -378,6 +413,27 @@ def test_subspace_certificates_above_threshold():
         assert report.guaranteed
         assert report.threshold == 2 * (3 + beta)
         assert report.max_cross < 1e-10
+
+
+def test_invalid_sizes_are_invalid_input():
+    with pytest.raises(InvalidInputError):
+        gram_exact(SpaceParams(0), 0.5, 0)
+    for order, count in ((0, 3), (4, 0)):
+        with pytest.raises(InvalidInputError):
+            subspace_orthogonality(SpaceParams(0), 0.5, order, count)
+
+
+def test_elliptic_certificate_needs_high_order_elliptic_automorphism():
+    params = SpaceParams(0)
+    report = elliptic_certificate(dilation_about(0.3, np.exp(2j * np.pi / 8)), params)
+    assert (report.order, report.count, report.guaranteed) == (8, 3, True)
+    assert report.max_cross == 0.0
+    assert abs(report.alpha - 0.3) < 1e-12
+    assert elliptic_certificate(dilation_about(0.3, np.exp(2j * np.pi / 5)), params) is None
+    assert elliptic_certificate(hyperbolic_model(0.5), params) is None
+    assert elliptic_certificate(rotation(np.exp(2j * np.pi / 8)), params) is None
+    noninteger = SpaceParams(0.5)
+    assert elliptic_certificate(dilation_about(0.3, np.exp(2j * np.pi / 8)), noninteger) is None
 
 
 def test_subspace_small_order_is_flagged_not_certified():
@@ -463,3 +519,87 @@ def test_search_records_floor_on_generic_operator():
     assert np.isfinite(result.best_trace[-1])
     uni, sym = conjugation_invariant_defects(result.conjugation)
     assert uni < 1e-10 and sym < 1e-10
+
+
+def _search_with_loop_packing(t, iters, seed):
+    # Reference: the search with symmetric matrices packed and unpacked one
+    # upper-triangle entry at a time.
+    n = t.dim
+    s = t.mat.conj().T
+    tbar = np.conj(t.mat)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def unpack(p):
+        m = np.zeros((n, n), dtype=np.complex128)
+        for idx, (i, j) in enumerate(pairs):
+            m[i, j] = p[idx]
+            m[j, i] = p[idx]
+        return m
+
+    lfull = np.kron(np.eye(n), s) - np.kron(s, np.eye(n))
+    embed = np.zeros((n * n, len(pairs)), dtype=np.complex128)
+    for idx, (i, j) in enumerate(pairs):
+        embed[i * n + j, idx] = 1.0
+        if i != j:
+            embed[j * n + i, idx] = 1.0
+    bmat = lfull @ embed
+    lam, vmat = np.linalg.eigh(bmat.conj().T @ bmat)
+    lam = np.clip(lam, 0.0, None)
+    mu_ref = max(float(np.mean(lam)), 1e-300)
+    ladder = mu_ref * np.array([30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-5])
+
+    def resid(u):
+        return float(np.linalg.norm(u @ tbar @ u.conj().T - s))
+
+    def ladder_step(u):
+        coeffs = vmat.conj().T @ np.array([u[i, j] for (i, j) in pairs], dtype=np.complex128)
+        best = None
+        for mu in ladder:
+            m = unpack(vmat @ (coeffs * (mu / (lam + mu))))
+            cand = _symmetric_polar((m + m.T) / 2.0)
+            r = resid(cand)
+            if best is None or r < best[0]:
+                best = (r, cand)
+        return best
+
+    rng = np.random.default_rng(seed)
+    starts = [np.eye(n, dtype=np.complex128), _symmetric_polar(unpack(vmat[:, 0]))]
+    starts.append(_random_symmetric_unitary(rng, n))
+    residuals, best_trace = [], []
+    best_r, best_u = math.inf, starts[0]
+    budget = max(1, iters)
+    per_start = max(2, -(-budget // len(starts)))
+    spent = 0
+    for u in starts:
+        cur = resid(u)
+        stall = used = 0
+        while spent < budget and used < per_start:
+            spent += 1
+            used += 1
+            residuals.append(cur)
+            if cur < best_r - 1e-16:
+                best_r, best_u = cur, u.copy()
+            best_trace.append(best_r)
+            if best_r < 1e-13 or stall >= 3:
+                break
+            step_r, step_u = ladder_step(u)
+            if step_r < cur - 1e-15:
+                u, cur, stall = step_u, step_r, 0
+            else:
+                stall += 1
+                u = _symmetric_polar(u + 0.2 * _random_symmetric_unitary(rng, n))
+                cur = resid(u)
+        if best_r < 1e-13:
+            break
+    return best_u, np.array(best_trace), np.array(residuals)
+
+
+@pytest.mark.parametrize("dim, iters", [(12, 30), (16, 30), (24, 8), (32, 5)])
+def test_search_index_packing_equals_loop_packing(dim, iters):
+    symbol = dilation_about(0.3 + 0.1j, np.exp(2j * np.pi / 7))
+    T = composition_matrix(symbol, SpaceParams(0), dim - 1)
+    result = conjugation_search(T, iters=iters, seed=dim)
+    u, best_trace, residuals = _search_with_loop_packing(T, iters, dim)
+    assert result.conjugation.u.tobytes() == u.tobytes()
+    assert result.best_trace.tobytes() == best_trace.tobytes()
+    assert result.residuals.tobytes() == residuals.tobytes()

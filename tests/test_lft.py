@@ -305,3 +305,18 @@ def test_to_series_matches_pointwise_evaluation():
         ser = to_series(phi, 128)
         for z in (0.0, 0.4, -0.35j):
             assert abs(ser(z) - apply_map(phi, z)) < 1e-10
+
+
+def test_fixed_point_report_splits_interior_and_boundary():
+    report = fixed_points(hyperbolic_model(0.5))
+    (alpha, inner), = report.interior()
+    (point, outer), = report.boundary()
+    assert (alpha, point) == (0.0, 1.0)
+    assert abs(inner - 0.5) < 1e-12 and abs(outer - 2.0) < 1e-12
+    assert fixed_points(involution(0.5)).boundary() == []
+
+
+def test_self_map_flags_are_python_bools():
+    for phi in (make(0.5, 0, 0, 1), involution(0.5), make(1, 1, 0, 2)):
+        assert type(phi.is_self_map) is bool
+        assert type(phi.is_automorphism) is bool

@@ -7,6 +7,7 @@ import pytest
 
 from bergman_csym import (
     DimMismatchError,
+    InvalidInputError,
     NonIntegerBetaError,
     SpaceParams,
     TruncatedSeries,
@@ -14,6 +15,7 @@ from bergman_csym import (
     composition_matrix,
     compose,
     compose_maps,
+    dilation_about,
     from_coords,
     hurst_factors,
     hyperbolic_model,
@@ -32,6 +34,7 @@ from bergman_csym import (
     to_series,
     verify_hurst,
     weight,
+    weights,
 )
 from bergman_csym.operators import _binomial_alpha_weights, _cowen_sum
 from helpers import random_poly, random_self_map
@@ -278,6 +281,71 @@ def test_factorization_residual_nonincreasing_in_dimension():
 def test_factorization_block_cap_enforced():
     with pytest.raises(DimMismatchError):
         verify_hurst(involution(0.5), SpaceParams(0), 32, 16)
+
+
+HURST_SYMBOLS = {
+    "involution": involution(0.5),
+    "hyperbolic_model": hyperbolic_model(0.5),
+    "dilation_about": dilation_about(0.3 + 0.2j, np.exp(0.74j * np.pi)),
+    "kernel_check_contraction": compose_maps(
+        involution(0.2 - 0.3j), scaled(involution(0.4 + 0.1j), 0.7j)
+    ),
+    "kernel_check_automorphism": compose_maps(
+        involution(-0.5 + 0.2j), scaled(involution(0.1), np.exp(1j))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HURST_SYMBOLS))
+@pytest.mark.parametrize("beta", [-1, 0, 1, 2.5])
+@pytest.mark.parametrize("degree, block", [(64, 16), (256, 8)])
+def test_factorization_residual_equals_full_degree_route(name, beta, degree, block):
+    # Reference: all four matrices built at the full degree, then the block
+    # of the residual.  Triangularity makes the small-block route exact.
+    phi = HURST_SYMBOLS[name]
+    params = SpaceParams(beta)
+    g, sigma, h = hurst_factors(phi, params, degree)
+    cphi = composition_matrix(phi, params, degree).mat
+    csigma = composition_matrix(sigma, params, degree).mat
+    mg = multiplication_matrix(g, params, degree).mat
+    mh = multiplication_matrix(h, params, degree).mat
+    resid = cphi.conj().T - mg @ csigma @ mh.conj().T
+    expected = float(np.linalg.norm(resid[:block, :block]))
+    assert verify_hurst(phi, params, degree, block) == expected
+
+
+def test_factorization_rejects_empty_block():
+    with pytest.raises(DimMismatchError):
+        verify_hurst(involution(0.5), SpaceParams(0), 32, 0)
+
+
+@pytest.mark.parametrize("beta", [-1, 0, 2, 0.5])
+def test_multiplication_matrix_equals_scipy_toeplitz(beta):
+    from scipy.linalg import toeplitz
+
+    rng = np.random.default_rng(17)
+    params = SpaceParams(beta)
+    for degree in (0, 1, 5, 40):
+        for length in (1, 3, 60):
+            psi = TruncatedSeries(rng.normal(size=length) + 1j * rng.normal(size=length))
+            col = np.zeros(degree + 1, dtype=np.complex128)
+            n = min(degree + 1, length)
+            col[:n] = psi.coeffs[:n]
+            row = np.zeros(degree + 1, dtype=np.complex128)
+            row[0] = col[0]
+            sqrtw = np.sqrt(weights(params, degree))
+            expected = toeplitz(col, row) * (sqrtw[:, None] / sqrtw[None, :])
+            got = multiplication_matrix(psi, params, degree).mat
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_negative_degree_is_invalid_input():
+    for build in (
+        lambda: composition_matrix(involution(0.5), SpaceParams(0), -1),
+        lambda: to_series(involution(0.5), -3),
+    ):
+        with pytest.raises(InvalidInputError, match="degree must be nonnegative"):
+            build()
 
 
 # --- involution adjoint ------------------------------------------------
