@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ArgOutsideDiskError,
     DimMismatchError,
     IntegerBetaError,
     InvalidInputError,
     NonIntegerBetaError,
     NotAnEigenvectorError,
+    require_in_disk,
 )
 from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, to_series
 from .operators import (
@@ -48,7 +48,7 @@ from .operators import (
     mzstar_on_monomial,
     to_coords,
 )
-from .series import TruncatedSeries, mul
+from .series import TruncatedSeries, powers
 from .space import SpaceParams, inner_product, kernel_series, weights
 
 __all__ = [
@@ -218,9 +218,7 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     """
     if not params.integer_beta:
         raise NonIntegerBetaError(f"exact gram table needs integer beta, got {params.beta}")
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ArgOutsideDiskError(f"need |alpha| < 1, got {alpha}")
+    alpha = require_in_disk(alpha)
     if size < 1:
         raise InvalidInputError(f"size must be at least 1, got {size}")
     top = int(params.beta) + 2
@@ -247,8 +245,10 @@ def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) 
     independent oracle for it.
     """
     alpha = complex(alpha)
+    if size < 1:
+        raise InvalidInputError(f"size must be at least 1, got {size}")
     if size - 1 > degree:
-        raise ValueError(f"size {size} needs degree >= {size - 1}")
+        raise InvalidInputError(f"size {size} needs degree >= {size - 1}")
     cmat = composition_matrix(involution(alpha), params, degree)
     adj = cmat.mat.conj().T
     w = weights(params, degree)
@@ -270,9 +270,7 @@ def gram_column_zero(params: SpaceParams, alpha: complex, n: int) -> complex:
     """
     if params.integer_beta:
         raise IntegerBetaError("integer beta has the exact banded table; use gram_exact")
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ArgOutsideDiskError(f"need |alpha| < 1, got {alpha}")
+    alpha = require_in_disk(alpha)
     p = params.beta + 2.0
     binom = 1.0
     for i in range(1, n + 1):
@@ -365,16 +363,12 @@ def obstruction_witness(alpha: complex, beta: float) -> WitnessReport:
     """
     if not float(beta).is_integer():
         raise NonIntegerBetaError(f"witness exponent 3 + beta must be an integer, got {beta}")
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ArgOutsideDiskError(f"need |alpha| < 1, got {alpha}")
+    alpha = require_in_disk(alpha)
     params = SpaceParams(float(beta))
     exponent = int(beta) + 3
     degree = max(16, 2 * exponent)
-    phi_series = to_series(involution(alpha), degree)
-    power = TruncatedSeries.one(degree)
-    for _ in range(exponent):
-        power = mul(power, phi_series, degree)
+    table = powers(to_series(involution(alpha), degree), exponent + 1, degree)
+    power = TruncatedSeries(table[:, exponent])
     truncated = inner_product(params, power, kernel_series(params, 0.0, degree))
     direct = alpha**exponent
     return WitnessReport(

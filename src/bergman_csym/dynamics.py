@@ -11,6 +11,7 @@ boundary contact and only O(1/n) there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,6 +146,8 @@ def hurst_eigencheck(
         raise NotSelfMapError(f"need 0 < |s| < 1, got {abs(s)}")
     if abs(1.0 - s) >= 1.0:
         raise NotSelfMapError(f"z -> s z + 1 - s with s = {s} does not fix the disk")
+    if not math.isfinite(exponent):
+        raise InvalidInputError(f"exponent must be finite, got {exponent}")
     if exponent <= -(params.beta + 2.0) / 2.0:
         raise ExponentOutOfRangeError(
             f"(1 - z)**{exponent} is not in the space for beta = {params.beta}"

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the open-disk check that raises one."""
 
 
 class ToolkitError(Exception):
@@ -23,6 +23,14 @@ class NotSelfMapError(ToolkitError):
 
 class ArgOutsideDiskError(ToolkitError):
     """A point that must lie in the open unit disk does not."""
+
+
+def require_in_disk(alpha) -> complex:
+    """``complex(alpha)``, or ``ArgOutsideDiskError`` unless ``|alpha| < 1`` (so NaN fails)."""
+    alpha = complex(alpha)
+    if not abs(alpha) < 1.0:
+        raise ArgOutsideDiskError(f"need |alpha| < 1, got {alpha}")
+    return alpha
 
 
 class IdentityMapError(ToolkitError):

@@ -27,6 +27,7 @@ exactly the situation in which the normal-form reduction below applies.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -34,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ArgOutsideDiskError,
     DegenerateMapError,
     IdentityMapError,
     InvalidInputError,
     NotHyperbolicError,
     NotSelfMapError,
     NotUnitaryError,
+    require_in_disk,
 )
 from .series import TruncatedSeries, mul, reciprocal_linear
 
@@ -77,14 +78,19 @@ _N_BOUNDARY_SAMPLES = 8
 class Lft:
     """A fractional linear map with cached self-map and automorphism flags."""
 
-    __slots__ = ("a", "b", "c", "d", "det", "self_map_margin", "is_self_map", "is_automorphism")
+    __slots__ = (
+        "a", "b", "c", "d", "scale", "det", "self_map_margin", "is_self_map", "is_automorphism"
+    )
 
     def __init__(self, a, b, c, d):
         self.a = complex(a)
         self.b = complex(b)
         self.c = complex(c)
         self.d = complex(d)
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        if not all(cmath.isfinite(t) for t in (self.a, self.b, self.c, self.d)):
+            raise InvalidInputError(f"map coefficients must be finite, got {self!r}")
+        # Largest coefficient modulus: the unit for every relative tolerance.
+        self.scale = scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0.0:
             raise DegenerateMapError("all four coefficients are zero")
         na, nb, nc, nd = (t / scale for t in (self.a, self.b, self.c, self.d))
@@ -111,11 +117,10 @@ class Lft:
 
     @property
     def is_identity(self) -> bool:
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         return (
-            abs(self.b) <= 1e-12 * scale
-            and abs(self.c) <= 1e-12 * scale
-            and abs(self.a - self.d) <= 1e-12 * scale
+            abs(self.b) <= 1e-12 * self.scale
+            and abs(self.c) <= 1e-12 * self.scale
+            and abs(self.a - self.d) <= 1e-12 * self.scale
         )
 
     def __call__(self, z):
@@ -188,9 +193,7 @@ def make(a, b, c, d) -> Lft:
 
 def involution(alpha) -> Lft:
     """The self-inverse automorphism exchanging 0 and ``alpha``."""
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ArgOutsideDiskError(f"involution point must satisfy |alpha| < 1, got {alpha}")
+    alpha = require_in_disk(alpha)
     return Lft(-1.0, alpha, -np.conj(alpha), 1.0)
 
 
@@ -267,10 +270,9 @@ def fixed_points(phi: Lft) -> FixedPointReport:
     """
     if phi.is_identity:
         raise IdentityMapError("every point is fixed by the identity")
-    scale = max(abs(phi.a), abs(phi.b), abs(phi.c), abs(phi.d))
-    qa = phi.c / scale
-    qb = (phi.d - phi.a) / scale
-    qc = -phi.b / scale
+    qa = phi.c / phi.scale
+    qb = (phi.d - phi.a) / phi.scale
+    qc = -phi.b / phi.scale
     if abs(qa) < 1e-14:
         # Affine map: one finite fixed point, the other at infinity.
         root = -qc / qb
@@ -307,10 +309,9 @@ def classify(phi: Lft) -> LftClass:
         raise NotSelfMapError(f"{phi!r} is not a self-map of the disk")
     if phi.is_identity:
         return LftClass(MapKind.IDENTITY, True)
-    scale = max(abs(phi.a), abs(phi.b), abs(phi.c), abs(phi.d))
     if (
-        abs(phi.b) <= 1e-12 * scale
-        and abs(phi.c) <= 1e-12 * scale
+        abs(phi.b) <= 1e-12 * phi.scale
+        and abs(phi.c) <= 1e-12 * phi.scale
         and abs(abs(phi.a / phi.d) - 1.0) <= _AUTOMORPHISM_SLACK
     ):
         return LftClass(MapKind.ROTATION, True)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError
+from .errors import DegenerateDenominatorError, InvalidInputError
 
 __all__ = [
     "TruncatedSeries",
     "mul",
+    "powers",
     "compose",
     "reciprocal_linear",
     "binomial_expand",
@@ -75,6 +76,8 @@ class TruncatedSeries:
 
     def resized(self, degree: int) -> "TruncatedSeries":
         """Copy with the coefficient array padded or cut to the new degree."""
+        if degree < 0:
+            raise InvalidInputError(f"degree must be nonnegative, got {degree}")
         if degree == self.degree:
             return self
         arr = np.zeros(degree + 1, dtype=np.complex128)
@@ -132,15 +135,38 @@ def mul(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def powers(g: TruncatedSeries, count: int, degree: int) -> np.ndarray:
+    """Truncated powers ``g**0, ..., g**(count-1)``, the columns of a ``(degree+1, count)`` array.
+
+    Each power is the previous one times ``g``, cut at ``degree`` by :func:`mul`.
+    """
+    table = np.zeros((degree + 1, count), dtype=np.complex128)
+    power = TruncatedSeries.one(degree)
+    for j in range(count):
+        table[:, j] = power.coeffs
+        if j + 1 < count:
+            power = mul(power, g, degree)
+    return table
+
+
 def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:
     """Coefficients of ``f(g(z))`` up to ``degree``.
 
     Horner's rule over truncated powers of ``g``; a nonzero ``g(0)`` is fine,
     the result is then the expansion of the composite about 0 provided the
-    expansion of ``f`` converges at ``g(0)``.
+    expansion of ``f`` converges at ``g(0)``.  Horner starts at the last
+    nonzero coefficient of ``f``: above it every step multiplies the zero
+    series, so zero padding of ``f`` costs nothing.
     """
-    acc = TruncatedSeries.constant(f.coeffs[f.degree], degree)
-    for k in range(f.degree - 1, -1, -1):
+    nonzero = np.flatnonzero(f.coeffs)
+    top = int(nonzero[-1]) if nonzero.size else 0
+    if top == f.degree:
+        acc = TruncatedSeries.constant(f.coeffs[top], degree)
+    else:
+        # The full loop would add f[top] to mul's zero series, whose +0.0
+        # entries turn a -0.0 part of f[top] into +0.0; keep those bits.
+        acc = TruncatedSeries.zero(degree) + f.coeffs[top]
+    for k in range(top - 1, -1, -1):
         acc = mul(acc, g, degree) + f.coeffs[k]
     return acc
 

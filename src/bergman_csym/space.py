@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgOutsideDiskError, InvalidInputError
+from .errors import InvalidInputError, require_in_disk
 from .series import TruncatedSeries
 
 __all__ = [
@@ -105,9 +105,7 @@ def kernel_series(params: SpaceParams, alpha: complex, degree: int) -> Truncated
     coefficient formula is used because the weights are already exact.
     Requires ``|alpha| < 1``.
     """
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ArgOutsideDiskError(f"kernel point must satisfy |alpha| < 1, got {alpha}")
+    alpha = require_in_disk(alpha)
     powers = np.conj(alpha) ** np.arange(degree + 1)
     return TruncatedSeries(powers / weights(params, degree))
 
@@ -119,8 +117,7 @@ def suggest_kernel_degree(alpha: complex, tol: float) -> int:
         return 0
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
-    if a >= 1.0:
-        raise ArgOutsideDiskError(f"kernel point must satisfy |alpha| < 1, got modulus {a}")
+    require_in_disk(alpha)
     return int(math.ceil(math.log(tol) / math.log(a)))
 
 

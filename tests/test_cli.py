@@ -335,9 +335,19 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["subspace", "--beta", "0", "--alpha", "0.5", "--order", "0"],
         ["matrix", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--dim", "0"],
         ["series", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--degree", "-3"],
+        ["subspace", "--beta", "0", "--alpha", "nan", "--order", "6", "--count", "2"],
+        ["gram", "--beta", "0", "--alpha", "nan", "--n", "4"],
+        ["gram", "--beta", "0.5", "--alpha", "0.4", "--n", "-2", "--dim", "8"],
+        ["gram", "--beta", "0.5", "--alpha", "0.4", "--n", "0", "--dim", "8"],
+        ["gram", "--beta", "0.5", "--alpha", "0.4", "--n", "4", "--dim", "0"],
+        ["classify", "--about", "0.5", "--factor", "nan"],
+        ["eigencheck", "--s", "0.5", "--exponent", "nan"],
+        ["kernel-check", "--beta", "0", "--dim", "0"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
-         "negative-degree"],
+         "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
+         "gram-truncated-size-0", "gram-truncated-dim-0", "factor-nan", "exponent-nan",
+         "kernel-check-dim-0"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import bergman_csym.operators as operators
 from bergman_csym import (
+    ArgOutsideDiskError,
     ConjugationMatrix,
     DimMismatchError,
     IntegerBetaError,
@@ -27,18 +29,22 @@ from bergman_csym import (
     hyperbolic_model,
     inner_product,
     involution,
+    involution_adjoint_apply,
     kernel_series,
+    mul,
     mzstar_on_monomial,
     obstruction_witness,
     rotation,
     spectral_symmetry_check,
     subspace_orthogonality,
+    suggest_kernel_degree,
     to_coords,
     to_series,
     weights,
 )
 from bergman_csym.csym import _random_symmetric_unitary, _symmetric_polar
 from bergman_csym.operators import _binomial_alpha_weights
+from helpers import horner_compose
 
 
 def random_symmetric_matrix(rng, n):
@@ -423,6 +429,32 @@ def test_invalid_sizes_are_invalid_input():
             subspace_orthogonality(SpaceParams(0), 0.5, order, count)
 
 
+@pytest.mark.parametrize("size,degree", [(-2, 7), (0, 7), (4, -1), (9, 7)])
+def test_gram_truncated_sizes_are_invalid_input(size, degree):
+    with pytest.raises(InvalidInputError):
+        gram_truncated(SpaceParams(0.5), 0.4, size, degree)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: gram_exact(SpaceParams(0), a, 4),
+        lambda a: gram_column_zero(SpaceParams(0.5), a, 2),
+        lambda a: obstruction_witness(a, 0),
+        lambda a: involution(a),
+        lambda a: involution_adjoint_apply(SpaceParams(0), a, TruncatedSeries([1.0]), 4),
+        lambda a: kernel_series(SpaceParams(0), a, 4),
+        lambda a: suggest_kernel_degree(a, 1e-8),
+    ],
+    ids=["gram_exact", "gram_column_zero", "obstruction_witness", "involution",
+         "involution_adjoint_apply", "kernel_series", "suggest_kernel_degree"],
+)
+@pytest.mark.parametrize("alpha", [complex("nan"), complex(0.0, math.nan), 1.0, 0.6 + 0.8j, 2.0])
+def test_points_outside_the_open_disk_are_rejected(call, alpha):
+    with pytest.raises(ArgOutsideDiskError):
+        call(alpha)
+
+
 def test_elliptic_certificate_needs_high_order_elliptic_automorphism():
     params = SpaceParams(0)
     report = elliptic_certificate(dilation_about(0.3, np.exp(2j * np.pi / 8)), params)
@@ -469,6 +501,34 @@ def test_witness_routes_agree_for_random_centers():
         report = obstruction_witness(alpha, beta)
         assert report.difference < 1e-10
         assert abs(report.direct) > abs(alpha) ** (3 + beta) / 2
+
+
+@pytest.mark.parametrize("beta", [-1, 0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j, -0.7j])
+def test_witness_equals_power_loop(alpha, beta):
+    params = SpaceParams(beta)
+    exponent = beta + 3
+    degree = max(16, 2 * exponent)
+    phi_series = to_series(involution(alpha), degree)
+    power = TruncatedSeries.one(degree)
+    for _ in range(exponent):
+        power = mul(power, phi_series, degree)
+    truncated = inner_product(params, power, kernel_series(params, 0.0, degree))
+    report = obstruction_witness(alpha, beta)
+    assert np.complex128(report.truncated).tobytes() == np.complex128(truncated).tobytes()
+    assert report.difference == abs(alpha**exponent - truncated)
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 5, 12])
+def test_adjoint_monomial_equals_full_length_horner_route(monkeypatch, beta, n):
+    params = SpaceParams(beta)
+    for alpha in (0.5, 0.3 + 0.4j):
+        got = adjoint_monomial(params, alpha, n, 64).coeffs
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "compose", horner_compose)
+            reference = adjoint_monomial(params, alpha, n, 64).coeffs
+        assert got.tobytes() == reference.tobytes()
 
 
 # --- conjugation search ------------------------------------------------

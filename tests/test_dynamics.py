@@ -8,6 +8,7 @@ from bergman_csym import (
     EscapedDiskError,
     ExponentOutOfRangeError,
     IdentityMapError,
+    InvalidInputError,
     NotSelfMapError,
     SpaceParams,
     TruncatedSeries,
@@ -150,6 +151,12 @@ def test_eigenvector_residual_decreases_with_dimension():
 def test_exponent_below_floor_rejected():
     with pytest.raises(ExponentOutOfRangeError):
         hurst_eigencheck(0.5, -1.0, SpaceParams(0), 64)
+
+
+@pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+def test_non_finite_exponent_is_invalid_input(exponent):
+    with pytest.raises(InvalidInputError, match="exponent must be finite"):
+        hurst_eigencheck(0.5, exponent, SpaceParams(0), 64)
 
 
 def test_multiplier_outside_unit_interval_rejected():

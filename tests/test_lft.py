@@ -9,6 +9,8 @@ from bergman_csym import (
     ArgOutsideDiskError,
     DegenerateMapError,
     IdentityMapError,
+    InvalidInputError,
+    Lft,
     MapKind,
     NotHyperbolicError,
     NotSelfMapError,
@@ -55,6 +57,21 @@ def test_make_rejects_disk_doubling():
 def test_make_rejects_degenerate_coefficients():
     with pytest.raises(DegenerateMapError):
         make(1, 2, 2, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+@pytest.mark.parametrize("slot", range(4))
+def test_non_finite_coefficients_are_invalid_input(bad, slot):
+    coeffs = [0.5, 0.1, 0.2, 1.0]
+    coeffs[slot] = bad
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        Lft(*coeffs)
+
+
+def test_scale_is_largest_coefficient_modulus():
+    phi = Lft(0.5, -3j, 0.2, 1.0)
+    assert phi.scale == 3.0
+    assert Lft(2.0, 0.0, 0.0, 2.0).is_identity
 
 
 def test_involution_swaps_origin_and_center():

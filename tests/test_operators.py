@@ -8,6 +8,7 @@ import pytest
 from bergman_csym import (
     DimMismatchError,
     InvalidInputError,
+    Lft,
     NonIntegerBetaError,
     SpaceParams,
     TruncatedSeries,
@@ -37,7 +38,7 @@ from bergman_csym import (
     weights,
 )
 from bergman_csym.operators import _binomial_alpha_weights, _cowen_sum
-from helpers import random_poly, random_self_map
+from helpers import kernel_check_map, random_poly, random_self_map
 
 
 def monomial(n, degree):
@@ -337,6 +338,35 @@ def test_multiplication_matrix_equals_scipy_toeplitz(beta):
             expected = toeplitz(col, row) * (sqrtw[:, None] / sqrtw[None, :])
             got = multiplication_matrix(psi, params, degree).mat
             assert got.tobytes() == expected.tobytes()
+
+
+def column_loop_matrix(symbol, params, degree):
+    """The composition matrix one column at a time, each power by one more ``mul``."""
+    phi = to_series(symbol, degree) if isinstance(symbol, Lft) else symbol.resized(degree)
+    sqrtw = np.sqrt(weights(params, degree))
+    mat = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
+    power = TruncatedSeries.one(degree)
+    for j in range(degree + 1):
+        mat[:, j] = power.coeffs * sqrtw / sqrtw[j]
+        if j < degree:
+            power = mul(power, phi, degree)
+    return mat
+
+
+_rng_kc = np.random.default_rng(0)
+_ORACLE_SYMBOLS = [kernel_check_map(_rng_kc) for _ in range(4)] + [
+    involution(0.3 + 0.4j),
+    TruncatedSeries([0.1, 0.5, -0.2j]),
+]
+
+
+@pytest.mark.parametrize("beta", [-1, 0, 1, 2.5])
+@pytest.mark.parametrize("degree", [0, 1, 64, 200])
+def test_composition_matrix_equals_column_loop(beta, degree):
+    params = SpaceParams(beta)
+    for symbol in _ORACLE_SYMBOLS:
+        got = composition_matrix(symbol, params, degree).mat
+        assert got.tobytes() == column_loop_matrix(symbol, params, degree).tobytes(), symbol
 
 
 def test_negative_degree_is_invalid_input():

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from bergman_csym import (
     DegenerateDenominatorError,
+    InvalidInputError,
     TruncatedSeries,
     binomial_expand,
     compose,
+    involution,
     mul,
     reciprocal_linear,
+    to_series,
 )
+from bergman_csym.series import powers
+from helpers import horner_compose, power_loop
 
 
 def conv_oracle(f, g, degree):
@@ -125,6 +130,45 @@ def test_compose_handles_nonzero_inner_constant():
         assert abs(out(z) - f(g(z))) < 1e-12
 
 
+_INNER = {
+    "involution": to_series(involution(0.3 + 0.4j), 40),
+    "affine": TruncatedSeries([0.5, 0.25 - 0.5j]),
+    "identity": TruncatedSeries.identity(1),
+}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        np.zeros(6),
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, -1j, 0.0, 0.0, 0.0],
+        [complex(0.5, -0.0), 0.0, 0.0],
+        [1.0, complex(-2.0, -0.0), 0.0],
+        [complex(-0.0, -0.0)],
+        list(np.random.default_rng(3).normal(size=8) + 0.5j) + [0.0] * 10,
+    ],
+    ids=["all-zero", "constant", "monomial", "interior-zeros", "signed-zero-constant",
+         "signed-zero-top", "degree-0", "random-padded"],
+)
+@pytest.mark.parametrize("degree", [0, 3, 40])
+def test_compose_equals_full_length_horner(f, degree):
+    f = TruncatedSeries(f)
+    for name, g in _INNER.items():
+        for padded in (f, f.resized(degree + 5)):
+            got = compose(padded, g, degree).coeffs
+            assert got.tobytes() == horner_compose(padded, g, degree).coeffs.tobytes(), name
+
+
+@pytest.mark.parametrize("count,degree", [(0, 3), (1, 0), (5, 4), (3, 12), (20, 6), (65, 64)])
+def test_powers_equal_repeated_mul(count, degree):
+    for g in (*_INNER.values(), TruncatedSeries([0.0, 0.0, 1.0])):
+        table = powers(g, count, degree)
+        assert table.shape == (degree + 1, count)
+        assert table.tobytes() == power_loop(g, count, degree).tobytes()
+
+
 # --- reciprocal_linear -------------------------------------------------
 
 
@@ -209,3 +253,8 @@ def test_series_invariants():
         TruncatedSeries([1.0, np.nan])
     with pytest.raises(ValueError):
         TruncatedSeries([np.inf, 1.0])
+
+
+def test_resized_rejects_negative_degree():
+    with pytest.raises(InvalidInputError, match="degree must be nonnegative"):
+        TruncatedSeries([1.0, 2.0]).resized(-1)
