@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import InvalidInputError, ToolkitError
 from .lft import (
     Lft,
     MapKind,
@@ -67,7 +67,7 @@ def _complex_arg(text: str) -> complex:
 
 def _symbol_from_args(args) -> Lft:
     """Build the map from --about/--factor or from --a/--b/--c/--d."""
-    if getattr(args, "about", None) is not None:
+    if args.about is not None:
         factor = args.factor if args.factor is not None else complex(1.0)
         return dilation_about(args.about, factor)
     coeffs = [getattr(args, name) for name in "abcd"]
@@ -77,20 +77,19 @@ def _symbol_from_args(args) -> Lft:
     return make(a, b, c, d)
 
 
-def _add_symbol_flags(sub, with_dilation: bool = True) -> None:
+def _add_symbol_flags(sub) -> None:
     sub.add_argument("--a", type=_complex_arg, default=None, help="coefficient a")
     sub.add_argument("--b", type=_complex_arg, default=None, help="coefficient b")
     sub.add_argument("--c", type=_complex_arg, default=None, help="coefficient c")
     sub.add_argument("--d", type=_complex_arg, default=None, help="coefficient d")
-    if with_dilation:
-        sub.add_argument(
-            "--about", type=_complex_arg, default=None,
-            help="build the dilation conjugated by the involution at this point",
-        )
-        sub.add_argument(
-            "--factor", type=_complex_arg, default=None,
-            help="dilation factor used with --about (default 1)",
-        )
+    sub.add_argument(
+        "--about", type=_complex_arg, default=None,
+        help="build the dilation conjugated by the involution at this point",
+    )
+    sub.add_argument(
+        "--factor", type=_complex_arg, default=None,
+        help="dilation factor used with --about (default 1)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +192,8 @@ def _cmd_matrix(args):
 
 def _cmd_kernel_check(args):
     params = SpaceParams(args.beta)
+    if args.cases < 1 or args.seed < 0:
+        raise InvalidInputError(f"need cases >= 1 and seed >= 0, got cases={args.cases}, seed={args.seed}")
     rng = np.random.default_rng(args.seed)
     degree = args.dim - 1
     worst = 0.0

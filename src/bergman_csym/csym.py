@@ -225,13 +225,13 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     r = _binomial_alpha_weights(alpha, int(params.beta))
     w = weights(params, size - 1)
     prefactor = (1.0 - abs(alpha) ** 2) ** (-top)
+    c = [[mzstar_on_monomial(params, k, m)[0] for k in range(min(top, m) + 1)] for m in range(size)]
     entries = np.zeros((size, size), dtype=np.complex128)
     for n in range(size):
         for m in range(max(0, n - top), min(size, n + top + 1)):
             acc = 0.0 + 0.0j
             for k in range(max(0, m - n), min(top, m, top + m - n) + 1):
-                c_km = mzstar_on_monomial(params, k, m)[0]
-                acc += np.conj(r[k]) * r[k + n - m] * c_km
+                acc += np.conj(r[k]) * r[k + n - m] * c[m][k]
             entries[n, m] = w[n] * prefactor * acc
     return GramTable(params.beta, alpha, entries)
 
@@ -426,6 +426,8 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     only monotonicity callers should rely on.  Always returns the best
     candidate found.
     """
+    if iters < 1 or seed < 0:
+        raise InvalidInputError(f"need iters >= 1 and seed >= 0, got iters={iters}, seed={seed}")
     n = t.dim
     s = t.mat.conj().T
     tbar = np.conj(t.mat)
@@ -474,14 +476,13 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     best_trace = []
     best_r = math.inf
     best_u = starts[0]
-    budget = max(1, iters)
-    per_start = max(2, -(-budget // len(starts)))
+    per_start = max(2, -(-iters // len(starts)))
     spent = 0
     for u in starts:
         cur = resid(u)
         stall = 0
         used = 0
-        while spent < budget and used < per_start:
+        while spent < iters and used < per_start:
             spent += 1
             used += 1
             residuals.append(cur)

@@ -60,13 +60,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A square complex matrix tagged with the space it acts on."""
+    """A read-only square complex matrix and its space; copied unless nothing else can write to it."""
 
     mat: np.ndarray
     params: SpaceParams
 
     def __post_init__(self):
-        arr = np.array(self.mat, dtype=np.complex128, copy=True)
+        arr = np.asarray(self.mat, dtype=np.complex128)
+        owner = arr.base if isinstance(arr.base, np.ndarray) else arr
+        arr = arr.copy() if arr.flags.writeable or owner.flags.writeable else arr
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimMismatchError(f"operator matrix must be square, got shape {arr.shape}")
         arr.flags.writeable = False
@@ -76,24 +78,15 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def degree(self) -> int:
-        return self.dim - 1
-
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         """Apply to a series: convert to coordinates, multiply, convert back."""
         return from_coords(self.params, self.mat @ to_coords(self.params, f, self.dim))
 
     def adjoint(self) -> "OperatorMatrix":
         """Adjoint in the orthonormal basis: conjugate transpose."""
-        return OperatorMatrix(self.mat.conj().T, self.params)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.params.beta != other.params.beta:
-            raise DimMismatchError("operators live on different spaces")
-        if self.dim != other.dim:
-            raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return OperatorMatrix(self.mat @ other.mat, self.params)
+        conj = self.mat.conj()
+        conj.flags.writeable = False
+        return OperatorMatrix(conj.T, self.params)
 
 
 def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
@@ -139,6 +132,7 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
     mat *= sqrtw[:, None]
     mat /= sqrtw
+    mat.flags.writeable = False
     return OperatorMatrix(mat, params)
 
 
@@ -155,6 +149,7 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     i = np.arange(dim)
     sqrtw = np.sqrt(weights(params, degree))
     mat = np.tril(col[i[:, None] - i[None, :]]) * (sqrtw[:, None] / sqrtw[None, :])
+    mat.flags.writeable = False
     return OperatorMatrix(mat, params)
 
 

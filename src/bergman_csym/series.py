@@ -128,24 +128,22 @@ class TruncatedSeries:
 
 def mul(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:
     """Cauchy product of two series, truncated at ``degree``."""
-    full = np.convolve(f.coeffs, g.coeffs)
-    out = np.zeros(degree + 1, dtype=np.complex128)
-    keep = min(full.size, degree + 1)
-    out[:keep] = full[:keep]
-    return TruncatedSeries(out)
+    return TruncatedSeries(np.convolve(f.coeffs, g.coeffs)[: degree + 1]).resized(degree)
 
 
 def powers(g: TruncatedSeries, count: int, degree: int) -> np.ndarray:
     """Truncated powers ``g**0, ..., g**(count-1)``, the columns of a ``(degree+1, count)`` array.
 
-    Each power is the previous one times ``g``, cut at ``degree`` by :func:`mul`.
+    Each power is the previous one times ``g``, cut at ``degree``.  The table
+    is checked for finiteness once, which rejects what a check per power
+    would: see :func:`compose`.
     """
     table = np.zeros((degree + 1, count), dtype=np.complex128)
-    power = TruncatedSeries.one(degree)
-    for j in range(count):
-        table[:, j] = power.coeffs
-        if j + 1 < count:
-            power = mul(power, g, degree)
+    table[0, :1] = 1.0
+    for j in range(1, count):
+        table[:, j] = np.convolve(table[:, j - 1], g.coeffs)[: degree + 1]
+    if not np.all(np.isfinite(table)):
+        raise ValueError("series coefficients must be finite")
     return table
 
 
@@ -156,19 +154,24 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSer
     the result is then the expansion of the composite about 0 provided the
     expansion of ``f`` converges at ``g(0)``.  Horner starts at the last
     nonzero coefficient of ``f``: above it every step multiplies the zero
-    series, so zero padding of ``f`` costs nothing.
+    series, so zero padding of ``f`` costs nothing.  The steps run on a plain
+    array, checked for finiteness once at the end.  This loses no check:
+    entry i of a product with ``g`` includes entry i times the finite
+    ``g[0]``, so a non-finite entry stays non-finite in every later step.
     """
     nonzero = np.flatnonzero(f.coeffs)
     top = int(nonzero[-1]) if nonzero.size else 0
+    acc = np.zeros(degree + 1, dtype=np.complex128)
     if top == f.degree:
-        acc = TruncatedSeries.constant(f.coeffs[top], degree)
+        acc[0] = f.coeffs[top]
     else:
         # The full loop would add f[top] to mul's zero series, whose +0.0
         # entries turn a -0.0 part of f[top] into +0.0; keep those bits.
-        acc = TruncatedSeries.zero(degree) + f.coeffs[top]
+        acc[0] += f.coeffs[top]
     for k in range(top - 1, -1, -1):
-        acc = mul(acc, g, degree) + f.coeffs[k]
-    return acc
+        acc = np.convolve(acc, g.coeffs)[: degree + 1]
+        acc[0] += f.coeffs[k]
+    return TruncatedSeries(acc)
 
 
 def reciprocal_linear(c, d, degree: int) -> TruncatedSeries:

@@ -343,11 +343,17 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["classify", "--about", "0.5", "--factor", "nan"],
         ["eigencheck", "--s", "0.5", "--exponent", "nan"],
         ["kernel-check", "--beta", "0", "--dim", "0"],
+        ["kernel-check", "--beta", "0", "--cases", "-1"],
+        ["kernel-check", "--beta", "0", "--seed", "-1"],
+        ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--iters", "-1"],
+        ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--iters", "0"],
+        ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--seed", "-1"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
          "gram-truncated-size-0", "gram-truncated-dim-0", "factor-nan", "exponent-nan",
-         "kernel-check-dim-0"],
+         "kernel-check-dim-0", "kernel-check-cases-negative", "kernel-check-seed-negative",
+         "csym-iters-negative", "csym-iters-0", "csym-seed-negative"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

@@ -555,6 +555,13 @@ def test_search_best_trace_is_nonincreasing():
         assert len(result.best_trace) == len(result.residuals)
 
 
+@pytest.mark.parametrize("iters,seed", [(0, 0), (-1, 0), (10, -1)])
+def test_search_rejects_empty_budget_and_negative_seed(iters, seed):
+    T = composition_matrix(involution(0.5), SpaceParams(0), 4)
+    with pytest.raises(InvalidInputError):
+        conjugation_search(T, iters=iters, seed=seed)
+
+
 def test_search_makes_progress_on_involution_compression():
     T = composition_matrix(involution(0.5), SpaceParams(0), 16)
     result = conjugation_search(T, iters=60, seed=0)

@@ -1,5 +1,6 @@
 """Matrix representations and adjoint formulas in the orthonormal coefficient basis."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -10,6 +11,7 @@ from bergman_csym import (
     InvalidInputError,
     Lft,
     NonIntegerBetaError,
+    OperatorMatrix,
     SpaceParams,
     TruncatedSeries,
     apply_map,
@@ -367,6 +369,39 @@ def test_composition_matrix_equals_column_loop(beta, degree):
     for symbol in _ORACLE_SYMBOLS:
         got = composition_matrix(symbol, params, degree).mat
         assert got.tobytes() == column_loop_matrix(symbol, params, degree).tobytes(), symbol
+
+
+def test_composition_matrix_allocates_its_result_once():
+    params = SpaceParams(0)
+    composition_matrix(involution(0.5), params, 256)  # fills the weight cache
+    tracemalloc.start()
+    try:
+        op = composition_matrix(involution(0.5), params, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.mat.nbytes
+
+
+def test_operator_matrix_copies_writeable_input_and_keeps_read_only_input():
+    params = SpaceParams(0)
+    a = np.eye(3, dtype=complex)
+    op = OperatorMatrix(a, params)
+    a[0, 0] = 5.0
+    assert op.mat[0, 0] == 1.0
+    view = a.view()
+    view.flags.writeable = False
+    op = OperatorMatrix(view, params)
+    a[0, 0] = 6.0
+    assert op.mat[0, 0] == 5.0
+    a.flags.writeable = False
+    assert OperatorMatrix(a, params).mat is a
+    cmat = composition_matrix(involution(0.5), params, 8)
+    mmat = multiplication_matrix(TruncatedSeries([1.0, 0.5]), params, 8)
+    for built in (cmat, mmat, cmat.adjoint()):
+        assert not built.mat.flags.writeable
+        with pytest.raises(ValueError):
+            built.mat[0, 0] = 1.0
 
 
 def test_negative_degree_is_invalid_input():

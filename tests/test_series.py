@@ -169,6 +169,41 @@ def test_powers_equal_repeated_mul(count, degree):
         assert table.tobytes() == power_loop(g, count, degree).tobytes()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: powers(TruncatedSeries([0.0, 1e200]), 3, 4),
+        lambda: compose(TruncatedSeries([0.0, 0.0, 1.0]), TruncatedSeries([0.0, 1e200]), 4),
+        lambda: compose(TruncatedSeries([1.0, 0.0, 1.0]), TruncatedSeries([1e200, 1.0]), 4),
+        # The overflow at index 2 meets g[0] = 0 and the true term leaves the
+        # truncation, yet the step that overflowed must still be rejected.
+        lambda: powers(TruncatedSeries([0.0, 1e200]), 4, 2),
+        lambda: compose(TruncatedSeries([0.0, 0.0, 0.0, 1.0]), TruncatedSeries([0.0, 1e200]), 2),
+        lambda: mul(TruncatedSeries([1e200]), TruncatedSeries([1e200]), 2),
+    ],
+    ids=["powers", "compose", "compose-nonzero-center", "powers-cut", "compose-cut", "mul"],
+)
+def test_overflow_inside_a_loop_is_rejected(build):
+    with pytest.raises(ValueError, match="series coefficients must be finite"):
+        build()
+
+
+def test_loops_build_one_series_per_result(monkeypatch):
+    built = []
+    init = TruncatedSeries.__init__
+
+    def counting_init(self, coeffs):
+        built.append(self)
+        init(self, coeffs)
+
+    f, g = TruncatedSeries(np.arange(1.0, 13.0)), TruncatedSeries([0.1, 0.5, -0.2j])
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting_init)
+    compose(f, g, 40)
+    assert len(built) == 1
+    powers(g, 30, 40)
+    assert len(built) == 1
+
+
 # --- reciprocal_linear -------------------------------------------------
 
 
