@@ -65,6 +65,13 @@ def _complex_arg(text: str) -> complex:
     raise ValueError(f"expected 're' or 're,im', got {text!r}")
 
 
+def _degree_from_dim(dim: int) -> int:
+    """The truncation degree ``dim - 1`` behind a ``--dim`` value, which must be at least 1."""
+    if dim < 1:
+        raise InvalidInputError(f"--dim must be at least 1, got {dim}")
+    return dim - 1
+
+
 def _symbol_from_args(args) -> Lft:
     """Build the map from --about/--factor or from --a/--b/--c/--d."""
     if args.about is not None:
@@ -175,7 +182,7 @@ def _cmd_series(args):
 def _cmd_matrix(args):
     phi = _symbol_from_args(args)
     params = SpaceParams(args.beta)
-    op = composition_matrix(phi, params, args.dim - 1)
+    op = composition_matrix(phi, params, _degree_from_dim(args.dim))
     if args.format == "csv":
         rows = [list(r.real) + list(r.imag) for r in op.mat]
         payload = _csv_rows(rows)
@@ -195,7 +202,7 @@ def _cmd_kernel_check(args):
     if args.cases < 1 or args.seed < 0:
         raise InvalidInputError(f"need cases >= 1 and seed >= 0, got cases={args.cases}, seed={args.seed}")
     rng = np.random.default_rng(args.seed)
-    degree = args.dim - 1
+    degree = _degree_from_dim(args.dim)
     worst = 0.0
     for _ in range(args.cases):
         a, b = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6) for _ in range(2))
@@ -222,7 +229,7 @@ def _cmd_kernel_check(args):
 def _cmd_hurst_check(args):
     phi = _symbol_from_args(args)
     params = SpaceParams(args.beta)
-    residual = verify_hurst(phi, params, args.dim - 1, args.block)
+    residual = verify_hurst(phi, params, _degree_from_dim(args.dim), args.block)
     fields = {
         "beta": args.beta,
         "dim": args.dim,
@@ -234,12 +241,13 @@ def _cmd_hurst_check(args):
 
 def _cmd_gram(args):
     params = SpaceParams(args.beta)
+    degree = None if args.dim is None else _degree_from_dim(args.dim)
     if params.integer_beta:
         table = gram_exact(params, args.alpha, args.n)
     else:
-        if args.dim is None:
+        if degree is None:
             raise ToolkitError("non-integer beta needs --dim for the truncated route")
-        table = gram_truncated(params, args.alpha, args.n, args.dim - 1)
+        table = gram_truncated(params, args.alpha, args.n, degree)
     if args.format == "csv":
         rows = [
             (n, m, table.entries[n, m].real, table.entries[n, m].imag)
@@ -298,7 +306,7 @@ def _cmd_witness(args):
 def _cmd_csym(args):
     phi = _symbol_from_args(args)
     params = SpaceParams(args.beta)
-    op = composition_matrix(phi, params, args.dim - 1)
+    op = composition_matrix(phi, params, _degree_from_dim(args.dim))
     result = conjugation_search(op, iters=args.iters, seed=args.seed)
     fields = {
         "beta": args.beta,
@@ -345,7 +353,7 @@ def _cmd_iterate(args):
 
 def _cmd_eigencheck(args):
     params = SpaceParams(args.beta)
-    residual = hurst_eigencheck(args.s, args.exponent, params, args.dim - 1, args.block)
+    residual = hurst_eigencheck(args.s, args.exponent, params, _degree_from_dim(args.dim), args.block)
     fields = {
         "beta": args.beta,
         "s": _c(args.s),

@@ -45,7 +45,6 @@ from .operators import (
     _binomial_alpha_weights,
     composition_matrix,
     involution_adjoint_apply,
-    mzstar_on_monomial,
     to_coords,
 )
 from .series import TruncatedSeries, powers
@@ -215,6 +214,14 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     table exists to exhibit, and ``G[2+beta][0] = w(2+beta) (-alpha)**(2+beta)
     / (1-|alpha|^2)**(2+beta)`` shows the band edge is sharp for nonzero
     ``alpha``.  At ``alpha = 0`` the table is the diagonal of weights.
+
+    The table is filled one band diagonal ``d = n - m`` at a time, one
+    vector operation along it per term of the k-sum.  The bits match an
+    entry-by-entry evaluation: each entry is the same sum in increasing
+    ``k`` from ``+0``, ``conj(r_k) r_{k+d}`` is one scalar product,
+    ``c_{k,m}`` is built in the factor order of :func:`mzstar_on_monomial`,
+    and what runs element-wise (a complex scalar times a real ``c``, complex
+    sums) rounds as its scalar form does.
     """
     if not params.integer_beta:
         raise NonIntegerBetaError(f"exact gram table needs integer beta, got {params.beta}")
@@ -223,16 +230,21 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
         raise InvalidInputError(f"size must be at least 1, got {size}")
     top = int(params.beta) + 2
     r = _binomial_alpha_weights(alpha, int(params.beta))
-    w = weights(params, size - 1)
-    prefactor = (1.0 - abs(alpha) ** 2) ** (-top)
-    c = [[mzstar_on_monomial(params, k, m)[0] for k in range(min(top, m) + 1)] for m in range(size)]
+    scale = weights(params, size - 1) * (1.0 - abs(alpha) ** 2) ** (-top)
+    idx = np.arange(size)
+    # c[k, m] for m >= k only; the slots m < k are never read.
+    c = np.ones((top + 1, size))
+    for k in range(1, top + 1):
+        m = idx[k:]
+        c[k, k:] = c[k - 1, k:] * ((m - (k - 1)) / (m + 1.0 + params.beta - (k - 1)))
     entries = np.zeros((size, size), dtype=np.complex128)
-    for n in range(size):
-        for m in range(max(0, n - top), min(size, n + top + 1)):
-            acc = 0.0 + 0.0j
-            for k in range(max(0, m - n), min(top, m, top + m - n) + 1):
-                acc += np.conj(r[k]) * r[k + n - m] * c[m][k]
-            entries[n, m] = w[n] * prefactor * acc
+    for d in range(-min(top, size - 1), min(top, size - 1) + 1):
+        first, stop = max(0, -d), size - max(0, d)
+        m = idx[first:stop]
+        acc = np.zeros(stop - first, dtype=np.complex128)
+        for k in range(first, top - max(0, d) + 1):
+            acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
+        entries[m + d, m] = scale[m + d] * acc
     return GramTable(params.beta, alpha, entries)
 
 

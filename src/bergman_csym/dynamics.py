@@ -76,7 +76,7 @@ def iterate(phi, z0: complex, steps: int) -> OrbitReport:
     if steps < 0:
         raise InvalidInputError(f"steps must be nonnegative, got {steps}")
     z = complex(z0)
-    if abs(z) > 1.0 + _ESCAPE_SLACK:
+    if not abs(z) <= 1.0 + _ESCAPE_SLACK:
         raise EscapedDiskError(f"seed {z} lies outside the closed disk")
     orbit = [z]
     quiet = 0

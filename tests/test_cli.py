@@ -348,18 +348,45 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--iters", "-1"],
         ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--iters", "0"],
         ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--seed", "-1"],
+        ["iterate", "--a", "1", "--b", "1", "--c", "0", "--d", "2", "--start", "nan,0", "--steps", "0"],
+        ["iterate", "--a", "1", "--b", "1", "--c", "0", "--d", "2", "--start", "nan,0", "--steps", "3"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
          "gram-truncated-size-0", "gram-truncated-dim-0", "factor-nan", "exponent-nan",
          "kernel-check-dim-0", "kernel-check-cases-negative", "kernel-check-seed-negative",
-         "csym-iters-negative", "csym-iters-0", "csym-seed-negative"],
+         "csym-iters-negative", "csym-iters-0", "csym-seed-negative", "iterate-nan-seed-0-steps",
+         "iterate-nan-seed-3-steps"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+_SHIFT = ["--a", "0.5", "--b", "0", "--c", "0", "--d", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--beta", "0", *_SHIFT],
+        ["kernel-check", "--beta", "0"],
+        ["hurst-check", "--beta", "0", *_SHIFT],
+        ["gram", "--beta", "0.5", "--alpha", "0.4", "--n", "4"],
+        ["gram", "--beta", "0", "--alpha", "0.4", "--n", "4"],
+        ["csym", "--beta", "0", *_SHIFT],
+        ["eigencheck", "--s", "0.5", "--exponent", "1"],
+    ],
+    ids=["matrix", "kernel-check", "hurst-check", "gram-truncated", "gram-exact", "csym", "eigencheck"],
+)
+@pytest.mark.parametrize("dim", ["0", "-1", "-4"])
+def test_dim_below_one_is_named_in_the_error(capsys, argv, dim):
+    code, out, err = run_cli(capsys, [*argv, "--dim", dim])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --dim must be at least 1, got {dim}\n"
 
 
 def test_integer_beta_commands_do_not_load_scipy():

@@ -350,11 +350,11 @@ def _gram_full_table(params, alpha, size):
     return entries
 
 
-@pytest.mark.parametrize("beta", [0, 1, 2, 3])
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.3 + 0.4j])
+@pytest.mark.parametrize("beta", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.3 + 0.4j, complex(-0.0, 0.5)])
 def test_gram_band_route_equals_full_table(beta, alpha):
     params = SpaceParams(beta)
-    for size in (1, 2, 13, 40):
+    for size in (1, 2, 3, 13, 40, 256):
         expected = _gram_full_table(params, alpha, size)
         assert gram_exact(params, alpha, size).entries.tobytes() == expected.tobytes()
 

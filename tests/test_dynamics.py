@@ -67,6 +67,14 @@ def test_orbit_start_outside_disk_rejected():
         iterate(make(1, 1, 0, 2), 1.5, 5)
 
 
+@pytest.mark.parametrize("seed", [complex(float("nan"), 0.0), complex(0.0, float("nan"))])
+@pytest.mark.parametrize("steps", [0, 3])
+def test_orbit_nan_seed_is_rejected_as_the_seed(seed, steps):
+    # a NaN modulus fails every comparison, so the check must be written to fail closed
+    with pytest.raises(EscapedDiskError, match="^seed "):
+        iterate(make(1, 1, 0, 2), seed, steps)
+
+
 # --- attracting points -------------------------------------------------
 
 
