@@ -445,14 +445,11 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     tbar = np.conj(t.mat)
     # A symmetric matrix is packed as its upper triangle in row-major order.
     iu, ju = np.triu_indices(n)
-    npairs = iu.size
     # Intertwining map restricted to symmetric matrices, as a dense
-    # (n^2, n(n+1)/2) matrix in row-major vec coordinates.
+    # (n^2, n(n+1)/2) matrix in row-major vec coordinates: the column of a
+    # packed entry (i, j) is the sum of the full columns of (i, j) and (j, i).
     lfull = np.kron(np.eye(n), s) - np.kron(s, np.eye(n))
-    embed = np.zeros((n * n, npairs), dtype=np.complex128)
-    embed[iu * n + ju, np.arange(npairs)] = 1.0
-    embed[ju * n + iu, np.arange(npairs)] = 1.0
-    bmat = lfull @ embed
+    bmat = lfull[:, iu * n + ju] + (iu != ju) * lfull[:, ju * n + iu]
     amat = bmat.conj().T @ bmat
     lam, vmat = np.linalg.eigh(amat)
     lam = np.clip(lam, 0.0, None)

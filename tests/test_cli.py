@@ -389,13 +389,21 @@ def test_dim_below_one_is_named_in_the_error(capsys, argv, dim):
     assert err == f"error: --dim must be at least 1, got {dim}\n"
 
 
-def test_integer_beta_commands_do_not_load_scipy():
+def test_no_command_loads_scipy():
+    commands = [
+        ["gram", "--beta", "0", "--alpha", "0.5"],
+        ["gram", "--beta", "0.5", "--alpha", "0.3", "--dim", "32"],
+        ["matrix", "--beta", "2.5", *_SHIFT, "--dim", "16"],
+        ["hurst-check", "--beta", "0.5", *_SHIFT, "--dim", "32", "--block", "4"],
+        ["eigencheck", "--beta", "1.5", "--s", "0.5", "--exponent", "1", "--dim", "64"],
+    ]
     script = (
         "import sys, bergman_csym\n"
         "from bergman_csym import cli\n"
         "assert 'scipy' not in sys.modules\n"
-        "assert cli.main(['gram', '--beta', '0', '--alpha', '0.5']) == 0\n"
-        "assert 'scipy' not in sys.modules\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

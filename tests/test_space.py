@@ -8,6 +8,7 @@ import pytest
 
 from bergman_csym import (
     ArgOutsideDiskError,
+    InvalidInputError,
     SpaceParams,
     TruncatedSeries,
     inner_product,
@@ -18,6 +19,7 @@ from bergman_csym import (
     weight_reciprocal_sums,
     weights,
 )
+import exact
 from helpers import random_poly
 
 
@@ -65,6 +67,16 @@ def test_weight_matches_gamma_route_for_noninteger_beta():
                 gammaln(n + 1) + gammaln(2 + beta) - gammaln(n + 2 + beta)
             )
             np.testing.assert_allclose(weight(params, n), expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("beta", [-0.9, -0.5, 1 / 3, 0.3, 0.5, 1.5, 2.5, 7.25])
+def test_noninteger_weights_within_gamma_3n_of_exact(beta):
+    # Each factor k / (k + 1 + beta) of the product rounds at most three
+    # times (add, divide, multiply), so w(n) is within gamma_{3n} relative.
+    n_max = 1024
+    got = weights(SpaceParams(beta), n_max)
+    for n, w in enumerate(exact.weights(beta, n_max)):
+        assert abs(Fraction(got[n]) - w) <= exact.gamma(3 * n) * w, n
 
 
 # --- inner product and norm -------------------------------------------
@@ -173,6 +185,9 @@ def test_suggested_degree_controls_kernel_tail():
     assert d >= np.log(1e-10) / np.log(0.5)
     assert 0.5**d <= 1e-10 * 2
     assert suggest_kernel_degree(0.0, 1e-10) == 0
+    for tol in (5.0, 0.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            suggest_kernel_degree(0, tol)
 
 
 # --- divergent reciprocal sums ----------------------------------------
