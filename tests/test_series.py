@@ -1,5 +1,8 @@
 """Truncated-series arithmetic: convolution, composition, binomial expansion."""
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +11,19 @@ from hypothesis import strategies as st
 from bergman_csym import (
     DegenerateDenominatorError,
     InvalidInputError,
+    Lft,
     TruncatedSeries,
     binomial_expand,
     compose,
+    hyperbolic_model,
     involution,
     mul,
     reciprocal_linear,
+    scaled,
     to_series,
 )
 from bergman_csym.series import powers
+import exact
 from helpers import horner_compose, power_loop
 
 
@@ -293,3 +300,60 @@ def test_series_invariants():
 def test_resized_rejects_negative_degree():
     with pytest.raises(InvalidInputError, match="degree must be nonnegative"):
         TruncatedSeries([1.0, 2.0]).resized(-1)
+
+
+# --- Möbius power tables against the exact rational table ----------------
+
+# Dyadic coefficients, so that each float map is exactly the rational map
+# the reference expands; |c/d| runs from 0.5 to 0.906.
+_DYADIC_MAPS = {
+    "involution-half": involution(0.5),
+    "involution-0.88": involution(0.625 + 0.625j),
+    "hyperbolic-half": hyperbolic_model(0.5),
+    "rotated-involution": scaled(involution(-0.25 + 0.5j), 0.75j),
+    "d-three-halves": Lft(0.5j, 0.25, 0.75, 1.5),
+    "contraction-0.9": Lft(0.03125, 0.0625 - 0.03125j, 0.90625j, 1.0),
+}
+_EXACT_DEGREE = 48
+
+# Every route that builds the power table of a Möbius map.
+_POWER_ROUTES = {
+    "convolution": lambda phi, count, degree: powers(to_series(phi, degree), count, degree),
+}
+
+
+def power_table_bound(degree):
+    """The allowed error of a power table, relative to its largest entry: ``(D+1) 2**-52``."""
+    return (degree + 1) * 2.0**-52
+
+
+@lru_cache(maxsize=None)
+def _exact_table(name):
+    phi = _DYADIC_MAPS[name]
+    return exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, _EXACT_DEGREE + 1, _EXACT_DEGREE)
+
+
+def test_dyadic_maps_are_self_maps_with_an_automorphism():
+    assert all(phi.is_self_map for phi in _DYADIC_MAPS.values())
+    assert any(phi.is_automorphism for phi in _DYADIC_MAPS.values())
+    assert max(abs(phi.c / phi.d) for phi in _DYADIC_MAPS.values()) > 0.9
+
+
+@pytest.mark.parametrize("route", sorted(_POWER_ROUTES))
+@pytest.mark.parametrize("name", sorted(_DYADIC_MAPS))
+def test_power_table_within_bound_of_exact(route, name):
+    degree = _EXACT_DEGREE
+    table = _POWER_ROUTES[route](_DYADIC_MAPS[name], degree + 1, degree)
+    ratio = exact.max_error_ratio(table, _exact_table(name), power_table_bound(degree))
+    assert ratio <= 1.0, ratio
+
+
+def test_exact_power_table_small_cases():
+    # phi(z) = z/2 + 1/4: phi**2 = z**2/4 + z/4 + 1/16, exactly.
+    table = exact.mobius_powers_exact(0.5, 0.25, 0.0, 1.0, 3, 3)
+    col = [table[n][2] for n in range(4)]
+    assert col == [(Fraction(1, 16), 0), (Fraction(1, 4), 0), (Fraction(1, 4), 0), (0, 0)]
+    # 1/(1 - z/2) = sum 2**-n z**n, times i z.
+    table = exact.mobius_powers_exact(1j, 0.0, -0.5, 1.0, 2, 4)
+    assert [table[n][1] for n in range(5)] == [(0, 0)] + [(0, Fraction(1, 2**k)) for k in range(4)]
+    assert exact.mobius_powers_exact(1.0, 0.0, 0.0, 1.0, 0, 2) == [[], [], []]
