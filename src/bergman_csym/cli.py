@@ -57,12 +57,14 @@ _SCHEMA = "bergman-csym/1"
 # argument parsing helpers
 
 def _complex_arg(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    """A complex number written ``re`` or ``re,im``; argparse reports the message of a failure."""
+    try:
+        parts = [float(part) for part in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    return complex(*parts)
 
 
 def _degree_from_dim(dim: int) -> int:

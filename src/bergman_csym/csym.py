@@ -39,15 +39,16 @@ from .errors import (
     NotAnEigenvectorError,
     require_in_disk,
 )
-from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, to_series
+from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, power_table
 from .operators import (
     OperatorMatrix,
     _binomial_alpha_weights,
+    _weighted_powers,
     composition_matrix,
     involution_adjoint_apply,
     to_coords,
 )
-from .series import TruncatedSeries, powers
+from .series import TruncatedSeries
 from .space import SpaceParams, inner_product, kernel_series, weights
 
 __all__ = [
@@ -261,10 +262,9 @@ def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) 
         raise InvalidInputError(f"size must be at least 1, got {size}")
     if size - 1 > degree:
         raise InvalidInputError(f"size {size} needs degree >= {size - 1}")
-    cmat = composition_matrix(involution(alpha), params, degree)
-    adj = cmat.mat.conj().T
-    w = weights(params, degree)
-    cols = adj[:, :size] * np.sqrt(w[:size])[None, :]
+    # Only the first ``size`` rows of the composition matrix are read.
+    rows = _weighted_powers(power_table(involution(alpha), degree + 1, size - 1), params, degree)
+    cols = rows.conj().T * np.sqrt(weights(params, size - 1))[None, :]
     entries = cols.T @ np.conj(cols)
     return GramTable(params.beta, alpha, entries)
 
@@ -379,7 +379,7 @@ def obstruction_witness(alpha: complex, beta: float) -> WitnessReport:
     params = SpaceParams(float(beta))
     exponent = int(beta) + 3
     degree = max(16, 2 * exponent)
-    table = powers(to_series(involution(alpha), degree), exponent + 1, degree)
+    table = power_table(involution(alpha), exponent + 1, degree)
     power = TruncatedSeries(table[:, exponent])
     truncated = inner_product(params, power, kernel_series(params, 0.0, degree))
     direct = alpha**exponent

@@ -43,7 +43,7 @@ from .errors import (
     NotUnitaryError,
     require_in_disk,
 )
-from .series import TruncatedSeries, mul, reciprocal_linear
+from .series import TruncatedSeries, mobius_powers, mul, reciprocal_linear
 
 __all__ = [
     "Lft",
@@ -64,6 +64,7 @@ __all__ = [
     "hyperbolic_normal_form",
     "elliptic_order",
     "to_series",
+    "power_table",
 ]
 
 # Slack for the closed self-map inequality; boundary cases (automorphisms,
@@ -380,11 +381,26 @@ def elliptic_order(lam, n_max: int):
     return None
 
 
-def to_series(phi: Lft, degree: int) -> TruncatedSeries:
-    """Maclaurin expansion of a self-map: ``(b + a z)`` times ``1/(c z + d)``."""
+def _require_expansion(phi: Lft, degree: int) -> None:
     if degree < 0:
         raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     if not phi.is_self_map:
         raise NotSelfMapError(f"{phi!r} is not a self-map; expansion on the disk is meaningless")
+
+
+def to_series(phi: Lft, degree: int) -> TruncatedSeries:
+    """Maclaurin expansion of a self-map: ``(b + a z)`` times ``1/(c z + d)``."""
+    _require_expansion(phi, degree)
     numerator = TruncatedSeries([phi.b, phi.a])
     return mul(numerator, reciprocal_linear(phi.c, phi.d, degree), degree)
+
+
+def power_table(phi: Lft, count: int, degree: int) -> np.ndarray:
+    """Expansions of ``phi**0, ..., phi**(count-1)`` to ``degree``, the columns of one array.
+
+    The table comes from the O(1)-per-entry recurrence of
+    :func:`~bergman_csym.series.mobius_powers`; like :func:`to_series` it is
+    refused for a map that is not a self-map.
+    """
+    _require_expansion(phi, degree)
+    return mobius_powers(phi.a, phi.b, phi.c, phi.d, count, degree)

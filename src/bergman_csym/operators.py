@@ -40,7 +40,7 @@ from .errors import (
     NotSelfMapError,
     require_in_disk,
 )
-from .lft import Lft, involution, make, to_series
+from .lft import Lft, involution, make, power_table, to_series
 from .series import TruncatedSeries, binomial_expand, compose, mul, powers
 from .space import SpaceParams, kernel_series, weights
 
@@ -105,10 +105,8 @@ def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
     return TruncatedSeries(vec / np.sqrt(w))
 
 
-def _symbol_series(symbol, degree: int) -> TruncatedSeries:
-    if isinstance(symbol, Lft):
-        return to_series(symbol, degree)
-    f = symbol.resized(degree)
+def _series_symbol(f: TruncatedSeries, degree: int) -> TruncatedSeries:
+    f = f.resized(degree)
     # No closed self-map test exists for a bare series; sample just inside
     # the circle and insist the values stay in the open disk.
     zs = (1.0 - 1e-3) * np.exp(2j * np.pi * np.arange(512) / 512)
@@ -117,21 +115,36 @@ def _symbol_series(symbol, degree: int) -> TruncatedSeries:
     return f
 
 
+def _weighted_powers(table: np.ndarray, params: SpaceParams, degree: int) -> np.ndarray:
+    """Rows of a composition matrix from the same rows of a power table, scaled in place.
+
+    Entry ``(n, j)`` is ``T[n, j] sqrt(w(n) / w(j))``, for ``j = 0..degree``.
+    """
+    sqrtw = np.sqrt(weights(params, degree))
+    # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
+    table *= sqrtw[: table.shape[0], None]
+    table /= sqrtw
+    return table
+
+
 def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatrix:
     """Compression of ``f -> f o symbol`` to degrees 0..``degree``.
 
     ``symbol`` may be a fractional linear self-map or a truncated series.
-    Column j is built from the truncated power ``symbol**j``, so the matrix
-    is exact for polynomial symbols and carries only the tail truncation
-    of the powers otherwise.
+    Column j is the truncated power ``symbol**j`` rescaled entrywise by
+    ``sqrt(w(n)/w(j))``, so the matrix is exact for polynomial symbols and
+    carries only the tail truncation of the powers otherwise.  The powers of
+    a fractional linear map come from the O(1)-per-entry recurrence of
+    :func:`~bergman_csym.lft.power_table`, O(D**2) in all; those of a series
+    from repeated convolution, O(D**3).
     """
     if degree < 0:
         raise InvalidInputError(f"degree must be nonnegative, got {degree}")
-    sqrtw = np.sqrt(weights(params, degree))
-    mat = powers(_symbol_series(symbol, degree), degree + 1, degree)
-    # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
-    mat *= sqrtw[:, None]
-    mat /= sqrtw
+    if isinstance(symbol, Lft):
+        table = power_table(symbol, degree + 1, degree)
+    else:
+        table = powers(_series_symbol(symbol, degree), degree + 1, degree)
+    mat = _weighted_powers(table, params, degree)
     mat.flags.writeable = False
     return OperatorMatrix(mat, params)
 

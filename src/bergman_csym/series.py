@@ -20,6 +20,7 @@ __all__ = [
     "TruncatedSeries",
     "mul",
     "powers",
+    "mobius_powers",
     "compose",
     "reciprocal_linear",
     "binomial_expand",
@@ -142,6 +143,60 @@ def powers(g: TruncatedSeries, count: int, degree: int) -> np.ndarray:
     table[0, :1] = 1.0
     for j in range(1, count):
         table[:, j] = np.convolve(table[:, j - 1], g.coeffs)[: degree + 1]
+    if not np.all(np.isfinite(table)):
+        raise ValueError("series coefficients must be finite")
+    return table
+
+
+def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
+    """Truncated powers of ``(a z + b)/(c z + d)`` as the columns of a ``(degree+1, count)`` array.
+
+    Clearing the denominator in ``phi**j = phi**(j-1) * phi`` gives the
+    entrywise recurrence
+
+        d T[n, j] = b T[n, j-1] + a T[n-1, j-1] - c T[n-1, j],
+
+    O(1) work per entry, against O(D) for a convolution.  Errors are damped
+    by ``|c/d| < 1``, which holds for every self-map.  Each entry needs
+    entries on the two previous anti-diagonals ``s = n + j``, so the table
+    is filled one anti-diagonal at a time by vector operations on three
+    diagonal buffers indexed by ``n + 1`` (index 0 is the zero row
+    ``n = -1``).  Each diagonal is written straight into the result through
+    a strided view, so memory is the result plus O(D).  Entry ``(n, j)``
+    depends only on rows up to ``n``, so row n does not depend on
+    ``degree``.  The table is checked for finiteness once, as in
+    :func:`powers`.
+    """
+    a, b, c, d = (complex(t) for t in (a, b, c, d))
+    if d == 0:
+        raise DegenerateDenominatorError("cannot expand 1/(c*z + d) with d = 0")
+    table = np.zeros((degree + 1, count), dtype=np.complex128)
+    table[0, :1] = 1.0
+    if count < 2:
+        return table
+    flat = table.reshape(-1)
+    step = count - 1
+    older, prev, cur = (np.zeros(degree + 2, dtype=np.complex128) for _ in range(3))
+    tmp = np.empty(degree + 1, dtype=np.complex128)
+    prev[1] = 1.0
+    # Overflow is rejected after the loop, where every entry has been stored.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, degree + count):
+            lo = max(0, s - step)
+            top = min(degree, s - 1)  # the last row with j >= 1
+            new, k = cur[lo + 1 : top + 2], top - lo + 1
+            np.multiply(prev[lo + 1 : top + 2], b, out=new)
+            np.multiply(older[lo : top + 1], a, out=tmp[:k])
+            np.add(new, tmp[:k], out=new)
+            np.multiply(prev[lo : top + 1], c, out=tmp[:k])
+            np.subtract(new, tmp[:k], out=new)
+            np.divide(new, d, out=new)
+            hi = top
+            if s <= degree:  # column 0 is zero below row 0
+                cur[s + 1] = 0.0
+                hi = s
+            flat[lo * step + s : hi * step + s + 1 : step] = cur[lo + 1 : hi + 2]
+            older, prev, cur = prev, cur, older
     if not np.all(np.isfinite(table)):
         raise ValueError("series coefficients must be finite")
     return table

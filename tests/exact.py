@@ -26,6 +26,11 @@ def weights(beta, n_max):
     return out
 
 
+def power_table_bound(degree):
+    """The allowed error of a power table to ``degree``, relative to its largest entry: ``(D+1) 2**-52``."""
+    return Fraction(degree + 1, 2**52)
+
+
 def _gaussian(z):
     """The exact Gaussian rational ``(re, im)`` of a complex float."""
     z = complex(z)

@@ -176,16 +176,21 @@ def test_a06_weighted_factorization_residual_small_and_shrinking(capfd):
         ell = dilation_about(
             unit_disk_point(rng, 0.5), np.exp(2j * np.pi * rng.uniform())
         )
-        worst = 0.0
+        worst = worst_fine = 0.0
         for phi in (involution(0.5), hyperbolic_model(0.5), ell):
             for beta in (0, 1):
                 params = SpaceParams(beta)
                 res = verify_hurst(phi, params, 256, 8)
-                res_fine = verify_hurst(phi, params, 512, 8)
+                # The residual depends on the block, not the degree: double both.
+                res_fine = verify_hurst(phi, params, 512, 16)
                 assert res < 1e-7
                 assert res_fine <= res or res_fine < 5e-15
                 worst = max(worst, res)
-        return f"worst 8x8 residual {worst:.2e} < 1e-07, non-growing at doubled dim"
+                worst_fine = max(worst_fine, res_fine)
+        return (
+            f"worst 8x8 residual {worst:.2e} < 1e-07, 16x16 at doubled dim "
+            f"{worst_fine:.2e}, non-growing or < 5e-15"
+        )
 
     run_criterion(capfd, "a06 three-factor adjoint decomposition", body)
 

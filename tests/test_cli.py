@@ -297,6 +297,14 @@ def test_unknown_arguments_exit_with_usage_error(capsys):
     assert run_cli(capsys, ["no-such-command"])[0] == 2
 
 
+@pytest.mark.parametrize("value", ["0.3+0.2j", "1,2,3", "0.5,", "half"])
+def test_malformed_complex_argument_names_the_accepted_format(capsys, value):
+    code, out, err = run_cli(capsys, ["gram", "--beta", "1", "--alpha", value])
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"error: argument --alpha: expected 're' or 're,im', got {value!r}\n")
+
+
 def test_internal_failures_exit_with_code_three(capsys, monkeypatch):
     def explode(args):
         raise RuntimeError("synthetic failure")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bergman_csym.operators as operators
 from bergman_csym import (
@@ -43,7 +45,9 @@ from bergman_csym import (
     weights,
 )
 from bergman_csym.csym import _random_symmetric_unitary, _symmetric_polar
-from bergman_csym.operators import _binomial_alpha_weights
+from bergman_csym.lft import power_table
+from bergman_csym.operators import _binomial_alpha_weights, _weighted_powers
+import exact
 from helpers import horner_compose
 
 
@@ -321,6 +325,19 @@ def test_gram_matches_truncated_route():
     assert np.max(np.abs(exact - truncated)) < 1e-8
 
 
+@pytest.mark.parametrize("beta", [-0.5, 0, 1, 2.5])
+def test_gram_truncated_reads_the_first_rows_of_the_composition_matrix(beta):
+    params = SpaceParams(beta)
+    for alpha in (0.5, 0.3 + 0.4j, -0.7j):
+        for size, degree in ((1, 0), (12, 11), (8, 64), (13, 256)):
+            full = composition_matrix(involution(alpha), params, degree).mat
+            rows = _weighted_powers(power_table(involution(alpha), degree + 1, size - 1), params, degree)
+            assert rows.tobytes() == full[:size].tobytes()
+            cols = full.conj().T[:, :size] * np.sqrt(weights(params, size - 1))[None, :]
+            got = gram_truncated(params, alpha, size, degree).entries
+            assert got.tobytes() == (cols.T @ np.conj(cols)).tobytes()
+
+
 def test_gram_truncated_serves_noninteger_parameters():
     table = gram_truncated(SpaceParams(-0.5), 0.4, 6, 256)
     assert table.entries.shape == (6, 6)
@@ -503,9 +520,8 @@ def test_witness_routes_agree_for_random_centers():
         assert abs(report.direct) > abs(alpha) ** (3 + beta) / 2
 
 
-@pytest.mark.parametrize("beta", [-1, 0, 1, 2, 3])
-@pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j, -0.7j])
-def test_witness_equals_power_loop(alpha, beta):
+def _witness_by_power_loop(alpha, beta):
+    """The series route of the witness with the power built by repeated ``mul``."""
     params = SpaceParams(beta)
     exponent = beta + 3
     degree = max(16, 2 * exponent)
@@ -513,10 +529,41 @@ def test_witness_equals_power_loop(alpha, beta):
     power = TruncatedSeries.one(degree)
     for _ in range(exponent):
         power = mul(power, phi_series, degree)
-    truncated = inner_product(params, power, kernel_series(params, 0.0, degree))
+    return inner_product(params, power, kernel_series(params, 0.0, degree))
+
+
+@pytest.mark.parametrize("beta", [-1, 0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j, -0.7j])
+def test_witness_equals_power_loop(alpha, beta):
+    """Equal to the power-loop route and to the exact power within the power-table bound."""
+    exponent = beta + 3
+    degree = max(16, 2 * exponent)
+    phi = involution(alpha)
+    table = exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, exponent + 1, degree)
+    bound = float(exact.power_table_bound(degree)) * max(
+        abs(complex(float(re), float(im))) for row in table for re, im in row
+    )
+    # The pairing with the kernel at 0 reads coefficient 0 of the power.
+    re, im = table[0][exponent]
     report = obstruction_witness(alpha, beta)
-    assert np.complex128(report.truncated).tobytes() == np.complex128(truncated).tobytes()
-    assert report.difference == abs(alpha**exponent - truncated)
+    assert abs(report.truncated - complex(float(re), float(im))) <= bound
+    assert abs(report.truncated - _witness_by_power_loop(alpha, beta)) <= bound
+    assert report.difference == abs(alpha**exponent - report.truncated)
+
+
+@given(
+    st.floats(0.0, 0.95),
+    st.floats(0.0, 1.0),
+    st.integers(-1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_witness_within_bound_of_power_loop(radius, turn, beta):
+    alpha = radius * np.exp(2j * np.pi * turn)
+    degree = max(16, 2 * (beta + 3))
+    report = obstruction_witness(alpha, beta)
+    # Powers of an automorphism have coefficients of modulus at most T[0, 0] = 1.
+    bound = float(exact.power_table_bound(degree))
+    assert abs(report.truncated - _witness_by_power_loop(alpha, beta)) <= bound
 
 
 @pytest.mark.parametrize("beta", [0, 1, 2, 3])
