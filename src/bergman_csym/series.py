@@ -7,7 +7,10 @@ operations below are pure functions that take the output truncation degree
 explicitly, so the precision of every computation is visible at the call
 site.  Nothing here is symbolic: products are Cauchy convolutions cut at
 degree D, and composition is Horner evaluation over truncated powers, which
-is valid even when the inner series has a nonzero constant term.
+is valid even when the inner series has a nonzero constant term.  The power
+table of a general series costs one convolution per power, O(D**3) for D
+powers; that of a fractional linear map comes from a recurrence with O(1)
+work per entry, O(D**2) in all (:func:`mobius_powers`).
 """
 
 from __future__ import annotations
@@ -179,7 +182,9 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
     older, prev, cur = (np.zeros(degree + 2, dtype=np.complex128) for _ in range(3))
     tmp = np.empty(degree + 1, dtype=np.complex128)
     prev[1] = 1.0
-    # Overflow is rejected after the loop, where every entry has been stored.
+    # A buffer keeps stale entries outside the rows of its diagonal; every
+    # read below stays inside those rows or hits the zero pad.  Overflow is
+    # rejected after the loop, where every entry has been stored.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, degree + count):
             lo = max(0, s - step)
@@ -191,10 +196,9 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
             np.multiply(prev[lo : top + 1], c, out=tmp[:k])
             np.subtract(new, tmp[:k], out=new)
             np.divide(new, d, out=new)
-            hi = top
             if s <= degree:  # column 0 is zero below row 0
                 cur[s + 1] = 0.0
-                hi = s
+            hi = min(degree, s)
             flat[lo * step + s : hi * step + s + 1 : step] = cur[lo + 1 : hi + 2]
             older, prev, cur = prev, cur, older
     if not np.all(np.isfinite(table)):

@@ -111,8 +111,6 @@ def test_kernel_pairing_evaluates_symbol_composition():
 
 
 def test_raw_series_symbol_must_stay_inside_disk():
-    from bergman_csym import NotSelfMapError
-
     grows = TruncatedSeries([0.0, 1.1])
     with pytest.raises(NotSelfMapError):
         composition_matrix(grows, SpaceParams(0), 8)

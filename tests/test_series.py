@@ -378,9 +378,10 @@ def _disk_point(radius):
     return st.builds(lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, radius), st.floats(0.0, 1.0))
 
 
-# Maps drawn as by the kernel-check command, with |c/d| kept to the range the
-# exact tests cover.  Derandomized: the convolution route comes within 0.95
-# of the bound on some of these maps, so fresh draws could fail on its error.
+# Maps of the kernel-check family involution(a) o (u involution(b)), with
+# |c/d| kept to the range the exact tests cover.  Derandomized: the
+# convolution route comes within 0.95 of the bound on some of these maps,
+# so fresh draws could fail on its error.
 @given(_disk_point(0.9), _disk_point(0.9), st.floats(0.3, 1.0), st.floats(0.0, 1.0), st.integers(0, 64))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_power_table_within_bound_of_power_loop(a, b, radius, turn, degree):
