@@ -43,10 +43,10 @@ from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involutio
 from .operators import (
     OperatorMatrix,
     _binomial_alpha_weights,
+    _owned_square,
     _weighted_powers,
-    composition_matrix,
+    from_coords,
     involution_adjoint_apply,
-    to_coords,
 )
 from .series import TruncatedSeries
 from .space import SpaceParams, inner_product, kernel_series, weights
@@ -154,17 +154,24 @@ def adjoint_monomial(
     """The adjoint image of ``z**n`` under composition with the involution at ``alpha``.
 
     Integer ``beta`` goes through the exact finite adjoint formula; any
-    other ``beta`` falls back to the conjugate transpose of the truncated
-    composition matrix.  ``n = 0`` returns the truncated reproducing kernel
-    at ``alpha`` either way.
+    other ``beta`` reads row ``n`` of the truncated composition matrix,
+    conjugated (see :func:`_adjoint_images`).  ``n = 0`` returns the
+    truncated reproducing kernel at ``alpha`` either way.
     """
     if not 0 <= n <= degree:
-        raise ValueError(f"monomial degree {n} outside [0, {degree}]")
-    mono = TruncatedSeries.monomial(n, degree)
+        raise InvalidInputError(f"monomial degree {n} outside [0, {degree}]")
     if params.integer_beta:
-        return involution_adjoint_apply(params, alpha, mono, degree)
-    cmat = composition_matrix(involution(alpha), params, degree)
-    return cmat.adjoint().apply(mono)
+        return involution_adjoint_apply(params, alpha, TruncatedSeries.monomial(n, degree), degree)
+    return from_coords(params, _adjoint_images(params, alpha, n + 1, degree)[:, n])
+
+
+def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int) -> np.ndarray:
+    """Orthonormal coordinates of the adjoint images of ``z**0..z**(count-1)``, as columns.
+
+    Column n is ``sqrt(w(n))`` times row n of the truncated composition matrix, conjugated.
+    """
+    rows = _weighted_powers(power_table(involution(alpha), degree + 1, count - 1), params, degree)
+    return rows.conj().T * np.sqrt(weights(params, count - 1))[None, :]
 
 
 @dataclass(frozen=True)
@@ -176,11 +183,7 @@ class GramTable:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimMismatchError(f"gram table must be square, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _owned_square(self.entries, "gram table"))
 
     @property
     def size(self) -> int:
@@ -246,6 +249,7 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
         for k in range(first, top - max(0, d) + 1):
             acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
         entries[m + d, m] = scale[m + d] * acc
+    entries.flags.writeable = False
     return GramTable(params.beta, alpha, entries)
 
 
@@ -253,7 +257,8 @@ def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) 
     """Gram table via the truncated matrix route, any ``beta``.
 
     Adjoint images are columns of the conjugate transpose of the truncated
-    composition matrix; inner products are plain coordinate dot products.
+    composition matrix (:func:`_adjoint_images`); inner products are plain
+    coordinate dot products.
     Converges to the exact table as ``degree`` grows and serves as the
     independent oracle for it.
     """
@@ -262,10 +267,9 @@ def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) 
         raise InvalidInputError(f"size must be at least 1, got {size}")
     if size - 1 > degree:
         raise InvalidInputError(f"size {size} needs degree >= {size - 1}")
-    # Only the first ``size`` rows of the composition matrix are read.
-    rows = _weighted_powers(power_table(involution(alpha), degree + 1, size - 1), params, degree)
-    cols = rows.conj().T * np.sqrt(weights(params, size - 1))[None, :]
+    cols = _adjoint_images(params, alpha, size, degree)
     entries = cols.T @ np.conj(cols)
+    entries.flags.writeable = False
     return GramTable(params.beta, alpha, entries)
 
 
@@ -309,29 +313,35 @@ def subspace_orthogonality(
 ) -> SubspaceReport:
     """Certify ``span(v_{k order}) perp span(v_{j order + 3 + beta})`` numerically.
 
-    Checks all ``count * count`` cross pairs with ``k, j < count`` through
-    the exact Gram table.  The banded vanishing guarantees exact zeros
-    whenever ``order >= 2 (3 + beta)``; smaller orders are still computed
-    but flagged ``guaranteed = False``, since nothing forces the cross
-    terms to vanish there.
+    The cross pair ``(k, j)``, ``k, j < count``, lies ``(k - j) order - (3 + beta)``
+    off the diagonal, and the exact Gram table vanishes from distance ``3 + beta``
+    on.  ``guaranteed`` is this band fact, which holds from ``order >= 2 (3 + beta)``:
+    there ``max_cross`` is ``0.0`` by the band (checked in the tests against the
+    entry-by-entry table), not a computed sum, and the cost does not depend on
+    ``order``.  The paper states its theorem for orders ``q > 2 (3 + beta)``.
+    Below the threshold the cross terms come from the exact table (fewer than
+    ``count * 2 (3 + beta)`` rows) and ``guaranteed`` is False: nothing forces
+    them to vanish there.
     """
     if not params.integer_beta:
         raise NonIntegerBetaError(f"subspace certificate needs integer beta, got {params.beta}")
     if order < 1 or count < 1:
         raise InvalidInputError(f"order and count must be positive, got {order} and {count}")
+    alpha = require_in_disk(alpha)
     shift = int(params.beta) + 3
-    size = (count - 1) * order + shift + 1
-    table = gram_exact(params, alpha, size)
-    rows = [k * order for k in range(count)]
-    cols = [j * order + shift for j in range(count)]
-    cross = np.abs(table.entries[np.ix_(rows, cols)])
     threshold = 2 * shift
+    max_cross = 0.0
+    if order < threshold:
+        table = gram_exact(params, alpha, (count - 1) * order + shift + 1)
+        rows = [k * order for k in range(count)]
+        cols = [j * order + shift for j in range(count)]
+        max_cross = float(np.max(np.abs(table.entries[np.ix_(rows, cols)])))
     return SubspaceReport(
         beta=params.beta,
-        alpha=complex(alpha),
+        alpha=alpha,
         order=order,
         count=count,
-        max_cross=float(np.max(cross)),
+        max_cross=max_cross,
         threshold=threshold,
         guaranteed=order >= threshold,
     )
@@ -342,7 +352,9 @@ def elliptic_certificate(phi: Lft, params: SpaceParams) -> SubspaceReport | None
 
     :func:`subspace_orthogonality` at the interior fixed point with order
     ``q`` and three vectors per block; ``None`` for any other map, for
-    non-integer ``beta`` and for ``q < 2 (3 + beta)``.
+    non-integer ``beta`` and for ``q < 2 (3 + beta)``.  A report is the band
+    fact, which holds from ``q = 2 (3 + beta)``: ``max_cross == 0.0`` is not
+    a computed sum.  The paper states its theorem for ``q > 2 (3 + beta)``.
     """
     if classify(phi).kind is not MapKind.ELLIPTIC or not params.integer_beta:
         return None

@@ -132,11 +132,12 @@ def hurst_eigencheck(
     The affine map fixes 1, and composing gives exactly
     ``(1 - (s z + 1 - s))**p = s**p (1 - z)**p``: the power function is an
     eigenvector with eigenvalue ``s**exponent``.  The check expands
-    ``(1 - z)**exponent`` to ``degree``, composes, and returns the relative
-    space-norm residual on coefficients up to ``block_degree`` (default
-    ``degree // 4``).  Truncation error enters only through the slowly
-    decaying binomial tail, so the residual falls as ``degree`` grows;
-    integer exponents terminate and are exact.
+    ``(1 - z)**exponent`` to ``degree``, composes only to ``block_degree``
+    (default ``degree // 4``; coefficients up to it do not depend on the
+    truncation), and returns the relative space-norm residual there.
+    Truncation error enters only through the slowly decaying binomial tail,
+    so the residual falls as ``degree`` grows; integer exponents terminate
+    and are exact.
 
     The power function lies in the space only for
     ``exponent > -(beta + 2) / 2``; outside that range the check refuses.
@@ -158,9 +159,9 @@ def hurst_eigencheck(
         raise DimMismatchError(f"block degree {block_degree} outside [0, {degree}]")
     f = binomial_expand(-1.0, exponent, degree)
     sigma = TruncatedSeries([1.0 - s, s])
-    composed = compose(f, sigma, degree)
+    composed = compose(f, sigma, block_degree)
     eig = complex(s) ** exponent
-    diff = TruncatedSeries(composed.coeffs[: block_degree + 1] - eig * f.coeffs[: block_degree + 1])
+    diff = TruncatedSeries(composed.coeffs - eig * f.coeffs[: block_degree + 1])
     ref = TruncatedSeries(f.coeffs[: block_degree + 1])
     return float(norm(params, diff) / norm(params, ref))
 
@@ -174,7 +175,7 @@ def orbit_gram(t: OperatorMatrix, f: TruncatedSeries, count: int):
     genuinely independent at that resolution.
     """
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InvalidInputError(f"count must be positive, got {count}")
     if count > t.dim:
         raise DimMismatchError(f"count {count} exceeds matrix dimension {t.dim}")
     vec = to_coords(t.params, f, t.dim)

@@ -58,6 +58,17 @@ __all__ = [
 ]
 
 
+def _owned_square(mat, what: str) -> np.ndarray:
+    """``mat`` as a read-only square complex array, copied unless nothing else can write to it."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    owner = arr.base if isinstance(arr.base, np.ndarray) else arr
+    arr = arr.copy() if arr.flags.writeable or owner.flags.writeable else arr
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimMismatchError(f"{what} must be square, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """A read-only square complex matrix and its space; copied unless nothing else can write to it."""
@@ -66,21 +77,11 @@ class OperatorMatrix:
     params: SpaceParams
 
     def __post_init__(self):
-        arr = np.asarray(self.mat, dtype=np.complex128)
-        owner = arr.base if isinstance(arr.base, np.ndarray) else arr
-        arr = arr.copy() if arr.flags.writeable or owner.flags.writeable else arr
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimMismatchError(f"operator matrix must be square, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "mat", arr)
+        object.__setattr__(self, "mat", _owned_square(self.mat, "operator matrix"))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Apply to a series: convert to coordinates, multiply, convert back."""
-        return from_coords(self.params, self.mat @ to_coords(self.params, f, self.dim))
 
     def adjoint(self) -> "OperatorMatrix":
         """Adjoint in the orthonormal basis: conjugate transpose."""
@@ -189,7 +190,7 @@ def mzstar_on_monomial(params: SpaceParams, m: int, n: int):
     degree at a time, and is exactly zero once ``m > n``.
     """
     if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
+        raise InvalidInputError(f"m and n must be nonnegative, got {m} and {n}")
     if m > n:
         return 0.0, n - m
     coeff = 1.0

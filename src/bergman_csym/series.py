@@ -73,7 +73,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, n: int, degree: int) -> "TruncatedSeries":
         if not 0 <= n <= degree:
-            raise ValueError(f"monomial degree {n} outside [0, {degree}]")
+            raise InvalidInputError(f"monomial degree {n} outside [0, {degree}]")
         arr = np.zeros(degree + 1, dtype=np.complex128)
         arr[n] = 1.0
         return cls(arr)

@@ -76,7 +76,7 @@ def _weights_cached(beta: float, n_max: int) -> np.ndarray:
 def weights(params: SpaceParams, n_max: int) -> np.ndarray:
     """Weights ``w(0), ..., w(n_max)`` as a read-only array (cached)."""
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise InvalidInputError(f"n_max must be nonnegative, got {n_max}")
     return _weights_cached(params.beta, n_max)
 
 

@@ -1,6 +1,7 @@
 """Conjugations, symmetry residuals, Gram diagnostics, obstruction witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bergman_csym import (
     ArgOutsideDiskError,
     ConjugationMatrix,
     DimMismatchError,
+    GramTable,
     IntegerBetaError,
     InvalidInputError,
     NonIntegerBetaError,
@@ -25,6 +27,7 @@ from bergman_csym import (
     csym_residual,
     dilation_about,
     elliptic_certificate,
+    from_coords,
     gram_column_zero,
     gram_exact,
     gram_truncated,
@@ -36,12 +39,14 @@ from bergman_csym import (
     mul,
     mzstar_on_monomial,
     obstruction_witness,
+    orbit_gram,
     rotation,
     spectral_symmetry_check,
     subspace_orthogonality,
     suggest_kernel_degree,
     to_coords,
     to_series,
+    weight,
     weights,
 )
 from bergman_csym.csym import _random_symmetric_unitary, _symmetric_polar
@@ -281,6 +286,21 @@ def test_adjoint_images_two_route_inner_products():
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("beta", [-0.5, 0.5, 2.5, 7.25])
+def test_noninteger_adjoint_monomial_equals_the_matrix_route(beta):
+    # The route it replaced: the conjugate transpose of the whole truncated
+    # composition matrix applied to the coordinates of z**n.
+    params = SpaceParams(beta)
+    for alpha in (0.5, 0.3 + 0.4j, -0.7j, complex(-0.0, 0.5), complex(0.5, -0.0), -0.0):
+        for degree in (0, 1, 6, 64):
+            cmat = composition_matrix(involution(alpha), params, degree).mat
+            for n in sorted({0, min(1, degree), degree // 2, degree}):
+                coords = to_coords(params, TruncatedSeries.monomial(n, degree), degree + 1)
+                reference = from_coords(params, cmat.conj().T @ coords).coeffs
+                got = adjoint_monomial(params, alpha, n, degree).coeffs
+                assert got.tobytes() == reference.tobytes()
+
+
 # --- exact Gram tables -------------------------------------------------
 
 
@@ -349,22 +369,26 @@ def test_gram_exact_requires_integer_parameter():
         gram_exact(SpaceParams(0.5), 0.4, 8)
 
 
-def _gram_full_table(params, alpha, size):
-    # Reference: every (n, m) pair and every k, keeping the legal ones.
+def _gram_entries(params, alpha, pairs):
+    # Reference: each requested (n, m) pair and every k, keeping the legal ones.
     top = int(params.beta) + 2
     r = _binomial_alpha_weights(complex(alpha), int(params.beta))
-    w = weights(params, size - 1)
+    w = weights(params, max(n for n, _ in pairs))
     prefactor = (1.0 - abs(complex(alpha)) ** 2) ** (-top)
-    entries = np.zeros((size, size), dtype=np.complex128)
-    for n in range(size):
-        for m in range(size):
-            acc = 0.0 + 0.0j
-            for k in range(min(top, m) + 1):
-                j = k + n - m
-                if 0 <= j <= top:
-                    acc += np.conj(r[k]) * r[j] * mzstar_on_monomial(params, k, m)[0]
-            entries[n, m] = w[n] * prefactor * acc
-    return entries
+    entries = []
+    for n, m in pairs:
+        acc = 0.0 + 0.0j
+        for k in range(min(top, m) + 1):
+            j = k + n - m
+            if 0 <= j <= top:
+                acc += np.conj(r[k]) * r[j] * mzstar_on_monomial(params, k, m)[0]
+        entries.append(w[n] * prefactor * acc)
+    return np.array(entries, dtype=np.complex128)
+
+
+def _gram_full_table(params, alpha, size):
+    pairs = [(n, m) for n in range(size) for m in range(size)]
+    return _gram_entries(params, alpha, pairs).reshape(size, size)
 
 
 @pytest.mark.parametrize("beta", [0, 1, 2, 3, 4])
@@ -386,6 +410,26 @@ def test_gram_at_zero_center_is_diagonal():
     np.testing.assert_allclose(
         np.diag(g).real, [weight(SpaceParams(1), n) for n in range(9)], rtol=1e-12
     )
+
+
+def test_gram_table_copies_writeable_input_and_keeps_read_only_input():
+    a = np.eye(3, dtype=complex)
+    table = GramTable(0.0, 0.5, a)
+    a[0, 0] = 5.0
+    assert table.entries[0, 0] == 1.0
+    view = a.view()
+    view.flags.writeable = False
+    table = GramTable(0.0, 0.5, view)
+    a[0, 0] = 6.0
+    assert table.entries[0, 0] == 5.0
+    a.flags.writeable = False
+    assert GramTable(0.0, 0.5, a).entries is a
+    with pytest.raises(DimMismatchError):
+        GramTable(0.0, 0.5, np.zeros((2, 3)))
+    for built in (gram_exact(SpaceParams(1), 0.5, 6), gram_truncated(SpaceParams(0.5), 0.5, 6, 16)):
+        assert not built.entries.flags.writeable
+        with pytest.raises(ValueError):
+            built.entries[0, 0] = 1.0
 
 
 # --- generalized column entries ---------------------------------------
@@ -489,6 +533,58 @@ def test_subspace_small_order_is_flagged_not_certified():
     report = subspace_orthogonality(SpaceParams(0), 0.5, 3, 3)
     assert not report.guaranteed
     assert report.max_cross > 1e-6  # crossings genuinely appear below threshold
+
+
+def _cross_pairs(beta, order, count):
+    return [(k * order, j * order + beta + 3) for k in range(count) for j in range(count)]
+
+
+@pytest.mark.parametrize("beta", range(21))
+def test_certificate_holds_from_the_threshold_and_fails_just_below(beta):
+    params = SpaceParams(beta)
+    threshold = 2 * (3 + beta)
+    for alpha in (0.1, -0.5 + 0.6j):
+        # The band fact itself, from the entry-by-entry oracle.
+        assert np.all(_gram_entries(params, alpha, _cross_pairs(beta, threshold, 4)) == 0.0)
+        for order in (threshold, 10**6):
+            report = subspace_orthogonality(params, alpha, order, 4)
+            assert (report.guaranteed, report.threshold, report.max_cross) == (True, threshold, 0.0)
+        below = subspace_orthogonality(params, alpha, threshold - 1, 4)
+        oracle = _gram_entries(params, alpha, _cross_pairs(beta, threshold - 1, 4))
+        assert not below.guaranteed
+        assert below.max_cross == float(np.max(np.abs(oracle))) > 0.0
+
+
+def test_certificate_memory_does_not_grow_with_the_order():
+    tracemalloc.start()
+    try:
+        report = subspace_orthogonality(SpaceParams(0), 0.5, 500, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_cross == 0.0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: orbit_gram(OperatorMatrix(np.eye(3), SpaceParams(0)), TruncatedSeries([1.0]), 0),
+        lambda: weights(SpaceParams(0), -1),
+        lambda: weight(SpaceParams(0.5), -1),
+        lambda: adjoint_monomial(SpaceParams(0), 0.5, 5, 4),
+        lambda: adjoint_monomial(SpaceParams(0.5), 0.5, -1, 4),
+        lambda: mzstar_on_monomial(SpaceParams(0), -1, 2),
+        lambda: mzstar_on_monomial(SpaceParams(0), 1, -2),
+        lambda: TruncatedSeries.monomial(3, 2),
+    ],
+    ids=["orbit_gram-count", "weights", "weight", "adjoint_monomial-integer",
+         "adjoint_monomial-noninteger", "mzstar_on_monomial-m", "mzstar_on_monomial-n",
+         "monomial"],
+)
+def test_domain_errors_are_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 # --- obstruction witness ----------------------------------------------

@@ -12,6 +12,8 @@ from bergman_csym import (
     NotSelfMapError,
     SpaceParams,
     TruncatedSeries,
+    binomial_expand,
+    compose,
     composition_matrix,
     denjoy_wolff,
     dilation_about,
@@ -21,6 +23,7 @@ from bergman_csym import (
     iterate,
     kernel_series,
     make,
+    norm,
     orbit_gram,
     rotation,
 )
@@ -154,6 +157,26 @@ def test_eigenvector_residual_decreases_with_dimension():
         cur = hurst_eigencheck(0.3, 0.7, SpaceParams(0), degree, 32)
         assert cur <= prev or cur < 5e-15
         prev = cur
+
+
+def _eigencheck_at_full_degree(s, exponent, params, degree, block_degree):
+    # The route that composes to ``degree`` and then reads the block.
+    s = complex(s)
+    f = binomial_expand(-1.0, exponent, degree)
+    composed = compose(f, TruncatedSeries([1.0 - s, s]), degree)
+    head = f.coeffs[: block_degree + 1]
+    diff = TruncatedSeries(composed.coeffs[: block_degree + 1] - s**exponent * head)
+    return float(norm(params, diff) / norm(params, TruncatedSeries(head)))
+
+
+@pytest.mark.parametrize("beta", [0, 1, -0.5, 1.5])
+@pytest.mark.parametrize("degree,block", [(512, 64), (64, 0), (64, 1), (64, 64), (16, 3), (256, 100)])
+def test_eigencheck_equals_the_full_degree_route(beta, degree, block):
+    params = SpaceParams(beta)
+    for s in (0.3, 0.5 + 0.2j, 0.45 - 0.1j):
+        for exponent in (1.0, 2.0, 0.7, 2.5, -0.3):
+            got = hurst_eigencheck(s, exponent, params, degree, block)
+            assert got == _eigencheck_at_full_degree(s, exponent, params, degree, block)
 
 
 def test_exponent_below_floor_rejected():

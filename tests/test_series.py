@@ -171,6 +171,26 @@ def test_compose_equals_full_length_horner(f, degree):
             assert got.tobytes() == horner_compose(padded, g, degree).coeffs.tobytes(), name
 
 
+@pytest.mark.parametrize("block", [0, 1, 2, 7, 40])
+def test_compose_low_coefficients_do_not_depend_on_the_degree(block):
+    # Bitwise while g has at most block + 1 coefficients, or two (at block 0
+    # each entry is one product): a longer g makes np.convolve swap its
+    # operands at the lower degree, which reorders sums.
+    rng = np.random.default_rng(block)
+    f = TruncatedSeries(rng.normal(size=70) + 1j * rng.normal(size=70))
+    inners = [
+        TruncatedSeries([0.5 + 0.2j, 0.25]),
+        TruncatedSeries([0.3 + 0.1j, 0.4, -0.2]),
+        to_series(involution(0.3 + 0.4j), block),
+    ]
+    for g in inners:
+        if g.degree > max(block, 1):
+            continue
+        cut = compose(f, g, block).coeffs
+        for degree in (block + 1, 2 * block + 3, 100):
+            assert cut.tobytes() == compose(f, g, degree).coeffs[: block + 1].tobytes()
+
+
 @pytest.mark.parametrize("count,degree", [(0, 3), (1, 0), (5, 4), (3, 12), (20, 6), (65, 64)])
 def test_powers_equal_repeated_mul(count, degree):
     for g in (*_INNER.values(), TruncatedSeries([0.0, 0.0, 1.0])):
