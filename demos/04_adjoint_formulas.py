@@ -43,8 +43,11 @@ for n in range(5):
     print(f"{n:>4}" + "".join(f"{c:>10.5f}" for c in row))
 print()
 
-# --- involution adjoint, exact finite sum ------------------------------
+# --- involution adjoint, factorized: M_K C_inv M_h* --------------------
 
+# C* f = M_K C_inv M_h* f with h = (1 - conj(alpha) z)^(2+beta): the finite
+# sum M_h* f = sum_k C(2+beta, k) (-alpha)^k (Mz*)^k f is formed first, then
+# composed with the involution once and multiplied by the kernel K_alpha once.
 alpha = 0.3 + 0.2j
 params = SpaceParams(0)
 degree = 96

@@ -260,22 +260,20 @@ def _binomial_alpha_weights(alpha: complex, beta_int: int) -> np.ndarray:
 def _cowen_sum(
     params: SpaceParams, alpha: complex, f: TruncatedSeries, degree: int, coeffs: np.ndarray
 ) -> TruncatedSeries:
-    """Evaluate ``sum_k coeffs[k] M_K C_inv (Mz*)**k f`` at the given truncation.
+    """Evaluate ``M_K C_inv M_h* f`` at the given truncation, ``M_h* = sum_k coeffs[k] (Mz*)**k``.
 
     ``M_K`` multiplies by the kernel at ``alpha`` and ``C_inv`` composes with
-    the involution at ``alpha``.  Factoring the sum out lets the tests drive
-    it with deliberately wrong coefficient sequences.
+    the involution at ``alpha``; both are linear, so they run once, on the
+    summed ``M_h* f``.  The tests drive this with wrong coefficient sequences.
     """
-    inv_series = to_series(involution(alpha), degree)
-    kernel = kernel_series(params, alpha, degree)
-    acc = TruncatedSeries.zero(degree)
     term = f.resized(degree)
+    hstar_f = np.zeros(degree + 1, dtype=np.complex128)
     for k, r in enumerate(coeffs):
         if k > 0:
             term = mzstar_apply(params, term)
-        composed = compose(term, inv_series, degree)
-        acc = acc + r * mul(kernel, composed, degree)
-    return acc
+        hstar_f += r * term.coeffs
+    composed = compose(TruncatedSeries(hstar_f), to_series(involution(alpha), degree), degree)
+    return mul(kernel_series(params, alpha, degree), composed, degree)
 
 
 def involution_adjoint_apply(
@@ -283,13 +281,14 @@ def involution_adjoint_apply(
 ) -> TruncatedSeries:
     """Adjoint of composition with the involution at ``alpha``, by finite formula.
 
-    For integer ``beta`` the adjoint is the finite sum
+    For integer ``beta`` and ``h = (1 - conj(alpha) z)**(2+beta)`` the adjoint is
 
-        C* f = sum_{k=0}^{2+beta} C(2+beta, k) (-alpha)**k  M_K C_inv (Mz*)**k f,
+        C* f = M_K C_inv M_h* f,   M_h* = sum_{k=0}^{2+beta} C(2+beta, k) (-alpha)**k (Mz*)**k,
 
-    which is exact up to the truncation of the final products.  At
-    ``beta = -1`` the sum has the two terms of the exponent-1 binomial, and
-    at ``alpha = 0`` it collapses to the parity flip ``f(z) -> f(-z)``.
+    Hurst's ``M_g C_sigma M_h*`` with ``sigma = phi``: ``hurst_factors`` gives
+    the involution, the kernel ``K`` at ``alpha`` and ``conj(h_k)`` as above.
+    The sum is finite, so the result is exact up to the truncation of one
+    composition and one product.  At ``alpha = 0`` it is ``f(z) -> f(-z)``.
     """
     if not params.integer_beta:
         raise NonIntegerBetaError(

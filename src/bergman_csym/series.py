@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _require_finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or ``InvalidInputError`` if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("series coefficients must be finite")
+    return arr
+
+
 class TruncatedSeries:
     """Maclaurin coefficients of a function, kept up to a fixed degree.
 
@@ -42,11 +49,9 @@ class TruncatedSeries:
     def __init__(self, coeffs):
         arr = np.array(coeffs, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size == 0:
-            raise ValueError("a series needs at least its constant coefficient")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("series coefficients must be finite")
+            raise InvalidInputError("a series needs at least its constant coefficient")
         arr.flags.writeable = False
-        self.coeffs = arr
+        self.coeffs = _require_finite(arr)
 
     @property
     def degree(self) -> int:
@@ -57,10 +62,6 @@ class TruncatedSeries:
         arr = np.zeros(degree + 1, dtype=np.complex128)
         arr[0] = value
         return cls(arr)
-
-    @classmethod
-    def zero(cls, degree: int) -> "TruncatedSeries":
-        return cls(np.zeros(degree + 1, dtype=np.complex128))
 
     @classmethod
     def one(cls, degree: int) -> "TruncatedSeries":
@@ -146,9 +147,7 @@ def powers(g: TruncatedSeries, count: int, degree: int) -> np.ndarray:
     table[0, :1] = 1.0
     for j in range(1, count):
         table[:, j] = np.convolve(table[:, j - 1], g.coeffs)[: degree + 1]
-    if not np.all(np.isfinite(table)):
-        raise ValueError("series coefficients must be finite")
-    return table
+    return _require_finite(table)
 
 
 def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
@@ -201,9 +200,7 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
             hi = min(degree, s)
             flat[lo * step + s : hi * step + s + 1 : step] = cur[lo + 1 : hi + 2]
             older, prev, cur = prev, cur, older
-    if not np.all(np.isfinite(table)):
-        raise ValueError("series coefficients must be finite")
-    return table
+    return _require_finite(table)
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:
@@ -250,6 +247,8 @@ def binomial_expand(u, p, degree: int) -> TruncatedSeries:
     The recurrence, not a gamma-function quotient, is what keeps integer ``p``
     exact: past ``n = p`` every factor is exactly zero.
     """
+    if degree < 0:
+        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     u = complex(u)
     coeffs = np.empty(degree + 1, dtype=np.complex128)
     coeffs[0] = 1.0

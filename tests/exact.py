@@ -87,3 +87,18 @@ def max_error_ratio(got, exact, scale):
     if top == 0:
         return 0.0 if worst == 0 else float("inf")
     return math.sqrt(worst / (Fraction(scale) ** 2 * top))
+
+
+def adjoint_image_exact(table, beta, n):
+    """Exact coefficients of the adjoint image of ``z**n`` under ``C_phi``.
+
+    ``table`` is the exact power table of ``phi`` with at least ``n + 1``
+    rows (``mobius_powers_exact(..., D + 1, n)``); the image is cut at the
+    last column, degree D.  Since ``<C_phi* z**n, z**m> = <z**n, phi**m>``,
+    coefficient m is ``w(n) conj(T[n][m]) / w(m)``, a Gaussian rational
+    ``(re, im)``.  One table serves every ``beta`` and every ``n`` up to its
+    last row.
+    """
+    row = table[n]
+    w = weights(beta, len(row) - 1)
+    return [(w[n] / w[m] * re, -w[n] / w[m] * im) for m, (re, im) in enumerate(row)]

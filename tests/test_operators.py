@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import bergman_csym.operators as operators
 from bergman_csym import (
     DimMismatchError,
     InvalidInputError,
@@ -15,6 +16,7 @@ from bergman_csym import (
     OperatorMatrix,
     SpaceParams,
     TruncatedSeries,
+    adjoint_monomial,
     apply_map,
     composition_matrix,
     compose,
@@ -495,6 +497,49 @@ def test_finite_sum_sign_convention_is_discriminating():
         wrong_err = max(wrong_err, np.max(np.abs((wrong - oracle)[:9])))
     assert right_err < 1e-8
     assert wrong_err > 1e-3
+
+
+# Dyadic points at four angles, up to |alpha| = 0.8125: the exact images
+# are those of the very floats the library receives.
+_ORACLE_ALPHAS = [0.8125, 0.5 + 0.625j, -0.8125j, -0.625 - 0.5j]
+
+
+@pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
+def test_adjoint_images_within_bound_of_exact_images(alpha):
+    # Integer beta goes through the finite formula, the rest through the row
+    # route of adjoint_monomial; both are judged by the power-table bound.
+    degree = 48
+    phi = involution(alpha)
+    table = exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, degree + 1, degree)
+    bound = exact.power_table_bound(degree)
+    for beta in (0, 1, 2, 0.5, 2.5):
+        params = SpaceParams(beta)
+        for n in (0, 3, 12, 24, 48):
+            if params.integer_beta:
+                got = involution_adjoint_apply(params, alpha, monomial(n, degree), degree)
+            else:
+                got = adjoint_monomial(params, alpha, n, degree)
+            reference = exact.adjoint_image_exact(table, beta, n)
+            assert exact.max_error_ratio([got.coeffs], [reference], bound) <= 1.0, (beta, n)
+
+
+@pytest.mark.parametrize("beta", [-1, 0, 2])
+def test_involution_adjoint_composes_once_and_multiplies_once(monkeypatch, beta):
+    calls = {"compose": 0, "mul": 0}
+
+    def counted(name):
+        inner = getattr(operators, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, counted(name))
+    involution_adjoint_apply(SpaceParams(beta), 0.5 + 0.25j, monomial(6, 32), 32)
+    assert calls == {"compose": 1, "mul": 1}
 
 
 # --- coordinate maps ---------------------------------------------------

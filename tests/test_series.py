@@ -9,14 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergman_csym import (
+    ConjugationMatrix,
     DegenerateDenominatorError,
     InvalidInputError,
     Lft,
     NotSelfMapError,
+    SpaceParams,
     TruncatedSeries,
     binomial_expand,
     compose,
     compose_maps,
+    hurst_factors,
     hyperbolic_model,
     involution,
     mul,
@@ -220,6 +223,29 @@ def test_powers_equal_repeated_mul(count, degree):
 def test_overflow_inside_a_loop_is_rejected(build):
     with pytest.raises(ValueError, match="series coefficients must be finite"):
         build()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TruncatedSeries([]),
+        lambda: TruncatedSeries([np.nan]),
+        lambda: powers(TruncatedSeries([0.0, 1e200]), 4, 2),
+        lambda: mobius_powers(1.0, 1e200, 0.0, 1e-200, 3, 2),
+        lambda: compose(TruncatedSeries([0.0, 0.0, 0.0, 1.0]), TruncatedSeries([0.0, 1e200]), 2),
+        lambda: ConjugationMatrix(np.diag([1.0, 0.5])),
+        lambda: ConjugationMatrix([[0.0, -1.0], [1.0, 0.0]]),
+        lambda: binomial_expand(0.5, 2.0, -1),
+        lambda: hurst_factors(involution(0.5), SpaceParams(0), -1),
+        lambda: reciprocal_linear(1.0, 2.0, -1),
+    ],
+    ids=["empty", "nan", "powers-overflow", "mobius-powers-overflow", "compose-overflow",
+         "conjugation-not-unitary", "conjugation-not-symmetric", "binomial-negative-degree",
+         "hurst-negative-degree", "reciprocal-negative-degree"],
+)
+def test_bad_series_and_conjugations_are_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_loops_build_one_series_per_result(monkeypatch):
