@@ -43,6 +43,7 @@ from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involutio
 from .operators import (
     OperatorMatrix,
     _binomial_alpha_weights,
+    _exact_beta,
     _owned_square,
     _weighted_powers,
     from_coords,
@@ -205,6 +206,37 @@ class GramTable:
         return float(np.max(np.abs(self.entries[mask])))
 
 
+def _band_diagonals(params: SpaceParams, alpha: complex, size: int, offsets):
+    """Yield ``(d, m, G[m + d, m])`` along each band diagonal ``d`` in ``offsets`` of :func:`gram_exact`.
+
+    ``|d| <= 2 + beta``, and ``m`` runs over the columns with both indices below
+    ``size``.  The k-sum stops at the diagonal's last column: later terms add
+    empty slices, and their scalar products can overflow.
+    """
+    r = _binomial_alpha_weights(alpha, params.beta)
+    top = r.size - 1
+    try:
+        scale = weights(params, size - 1) * (1.0 - abs(alpha) ** 2) ** (-top)
+    except OverflowError:
+        raise InvalidInputError(
+            f"(1 - |alpha|**2)**-(2 + beta) leaves the double range at beta = {params.beta}, "
+            f"|alpha| = {abs(alpha)}"
+        ) from None
+    idx = np.arange(size)
+    # c[k, m] for m >= k only; the slots m < k are never read.
+    c = np.ones((top + 1, size))
+    for k in range(1, top + 1):
+        m = idx[k:]
+        c[k, k:] = c[k - 1, k:] * ((m - (k - 1)) / (m + 1.0 + params.beta - (k - 1)))
+    for d in offsets:
+        first, stop = max(0, -d), size - max(0, d)
+        m = idx[first:stop]
+        acc = np.zeros(stop - first, dtype=np.complex128)
+        for k in range(first, min(top - max(0, d), stop - 1) + 1):
+            acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
+        yield d, m, scale[m + d] * acc
+
+
 def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     """Exact Gram table of the adjoint monomial images for integer ``beta``.
 
@@ -234,23 +266,10 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     alpha = require_in_disk(alpha)
     if size < 1:
         raise InvalidInputError(f"size must be at least 1, got {size}")
-    top = int(params.beta) + 2
-    r = _binomial_alpha_weights(alpha, int(params.beta))
-    scale = weights(params, size - 1) * (1.0 - abs(alpha) ** 2) ** (-top)
-    idx = np.arange(size)
-    # c[k, m] for m >= k only; the slots m < k are never read.
-    c = np.ones((top + 1, size))
-    for k in range(1, top + 1):
-        m = idx[k:]
-        c[k, k:] = c[k - 1, k:] * ((m - (k - 1)) / (m + 1.0 + params.beta - (k - 1)))
+    band = min(int(params.beta) + 2, size - 1)
     entries = np.zeros((size, size), dtype=np.complex128)
-    for d in range(-min(top, size - 1), min(top, size - 1) + 1):
-        first, stop = max(0, -d), size - max(0, d)
-        m = idx[first:stop]
-        acc = np.zeros(stop - first, dtype=np.complex128)
-        for k in range(first, top - max(0, d) + 1):
-            acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
-        entries[m + d, m] = scale[m + d] * acc
+    for d, m, values in _band_diagonals(params, alpha, size, range(-band, band + 1)):
+        entries[m + d, m] = values
     entries.flags.writeable = False
     return GramTable(params.beta, alpha, entries)
 
@@ -321,9 +340,10 @@ def subspace_orthogonality(
     there ``max_cross`` is ``0.0`` by the band (checked in the tests against the
     entry-by-entry table), not a computed sum, and the cost does not depend on
     ``order``.  The paper states its theorem for orders ``q > 2 (3 + beta)``.
-    Below the threshold the cross terms come from the exact table (fewer than
-    ``count * 2 (3 + beta)`` rows) and ``guaranteed`` is False: nothing forces
-    them to vanish there.
+    Below the threshold the cross terms are read off the fewer than
+    ``2 (3 + beta) / order`` band diagonals they lie on, in O(count order (3 + beta))
+    memory and with no table, and ``guaranteed`` is False: nothing forces them
+    to vanish there.
     """
     if not params.integer_beta:
         raise NonIntegerBetaError(f"subspace certificate needs integer beta, got {params.beta}")
@@ -334,10 +354,12 @@ def subspace_orthogonality(
     threshold = 2 * shift
     max_cross = 0.0
     if order < threshold:
-        table = gram_exact(params, alpha, (count - 1) * order + shift + 1)
-        rows = [k * order for k in range(count)]
-        cols = [j * order + shift for j in range(count)]
-        max_cross = float(np.max(np.abs(table.entries[np.ix_(rows, cols)])))
+        # Pair (j + delta, j) is on diagonal delta * order - shift, in band for 0 < delta * order < threshold.
+        offsets = [delta * order - shift for delta in range(1, min(count, -(-threshold // order)))]
+        cross = [0.0]
+        for d, m, values in _band_diagonals(params, alpha, (count - 1) * order + shift + 1, offsets):
+            cross.extend(np.abs(values[shift - m[0] :: order][: count - (d + shift) // order]))
+        max_cross = float(np.max(cross))
     return SubspaceReport(
         beta=params.beta,
         alpha=alpha,
@@ -381,21 +403,20 @@ def obstruction_witness(alpha: complex, beta: float) -> WitnessReport:
 
     The direct route is ``alpha**(3+beta)`` because the pairing with the
     kernel at 0 reads off the value of the power at the origin.  The series
-    route raises the truncated expansion of the involution to the same
-    power and pairs it with the truncated kernel.  A nonzero value is the
-    witness: it is exactly the quantity that must vanish for a conjugation
-    compatible with the elliptic eigenvector structure to exist, so any
-    ``alpha != 0`` certifies the obstruction.
+    route takes the power from the involution's power table and pairs it
+    with the kernel; ``K_0`` is the constant 1, so only row 0 is built.  A
+    nonzero value is the witness: it is exactly the quantity that must
+    vanish for a conjugation compatible with the elliptic eigenvector
+    structure to exist, so any ``alpha != 0`` certifies the obstruction.
+    ``beta`` obeys the bound of the other exact formulas, ``beta <= 1027``.
     """
     if not float(beta).is_integer():
         raise NonIntegerBetaError(f"witness exponent 3 + beta must be an integer, got {beta}")
     alpha = require_in_disk(alpha)
     params = SpaceParams(float(beta))
-    exponent = int(beta) + 3
-    degree = max(16, 2 * exponent)
-    table = power_table(involution(alpha), exponent + 1, degree)
-    power = TruncatedSeries(table[:, exponent])
-    truncated = inner_product(params, power, kernel_series(params, 0.0, degree))
+    exponent = _exact_beta(params.beta) + 3
+    power = TruncatedSeries(power_table(involution(alpha), exponent + 1, 0)[:, exponent])
+    truncated = inner_product(params, power, kernel_series(params, 0.0, 0))
     direct = alpha**exponent
     return WitnessReport(
         direct=direct, truncated=truncated, difference=abs(direct - truncated)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .lft import Lft, involution, make, power_table, to_series
 from .series import TruncatedSeries, binomial_expand, compose, mul, powers
-from .space import SpaceParams, kernel_series, weights
+from .space import SpaceParams, _divisor_weights, kernel_series, weights
 
 __all__ = [
     "OperatorMatrix",
@@ -102,7 +102,7 @@ def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
 def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
     """Series whose orthonormal coordinates are ``vec``."""
     vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    w = weights(params, vec.size - 1)
+    w = _divisor_weights(params, vec.size - 1)
     return TruncatedSeries(vec / np.sqrt(w))
 
 
@@ -121,7 +121,7 @@ def _weighted_powers(table: np.ndarray, params: SpaceParams, degree: int) -> np.
 
     Entry ``(n, j)`` is ``T[n, j] sqrt(w(n) / w(j))``, for ``j = 0..degree``.
     """
-    sqrtw = np.sqrt(weights(params, degree))
+    sqrtw = np.sqrt(_divisor_weights(params, degree))
     # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
     table *= sqrtw[: table.shape[0], None]
     table /= sqrtw
@@ -161,7 +161,7 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     n = min(dim, psi.coeffs.size)
     col[:n] = psi.coeffs[:n]
     i = np.arange(dim)
-    sqrtw = np.sqrt(weights(params, degree))
+    sqrtw = np.sqrt(_divisor_weights(params, degree))
     mat = np.tril(col[i[:, None] - i[None, :]]) * (sqrtw[:, None] / sqrtw[None, :])
     mat.flags.writeable = False
     return OperatorMatrix(mat, params)
@@ -249,9 +249,23 @@ def verify_hurst(phi: Lft, params: SpaceParams, degree: int, block: int) -> floa
     return float(np.linalg.norm(resid))
 
 
-def _binomial_alpha_weights(alpha: complex, beta_int: int) -> np.ndarray:
-    """The finite coefficients ``C(2+beta, k) (-alpha)**k``, k = 0..2+beta."""
-    top = beta_int + 2
+# The largest integer beta whose binomials C(2+beta, k) are all doubles: C(1030, 515) is not.
+_EXACT_BETA_MAX = 1027
+
+
+def _exact_beta(beta: float) -> int:
+    """``int(beta)`` for an exact finite formula, or ``InvalidInputError`` past ``_EXACT_BETA_MAX``."""
+    if beta > _EXACT_BETA_MAX:
+        raise InvalidInputError(
+            f"exact formulas need beta <= {_EXACT_BETA_MAX}, where C(2+beta, k) stays in the "
+            f"double range; got beta = {beta}"
+        )
+    return int(beta)
+
+
+def _binomial_alpha_weights(alpha: complex, beta: float) -> np.ndarray:
+    """The finite coefficients ``C(2+beta, k) (-alpha)**k``, k = 0..2+beta, for integer ``beta``."""
+    top = _exact_beta(beta) + 2
     return np.array(
         [math.comb(top, k) * (-alpha) ** k for k in range(top + 1)], dtype=np.complex128
     )
@@ -295,5 +309,5 @@ def involution_adjoint_apply(
             f"the finite adjoint formula needs integer beta, got {params.beta}"
         )
     alpha = require_in_disk(alpha)
-    r = _binomial_alpha_weights(alpha, int(params.beta))
+    r = _binomial_alpha_weights(alpha, params.beta)
     return _cowen_sum(params, alpha, f, degree, r)

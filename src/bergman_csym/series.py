@@ -232,6 +232,8 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSer
 
 def reciprocal_linear(c, d, degree: int) -> TruncatedSeries:
     """Expansion of ``1/(c*z + d)``: coefficient n equals ``(-c/d)**n / d``."""
+    if degree < 0:
+        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     if d == 0:
         raise DegenerateDenominatorError("cannot expand 1/(c*z + d) with d = 0")
     ratio = -complex(c) / complex(d)

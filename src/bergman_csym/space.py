@@ -62,8 +62,8 @@ class SpaceParams:
 def _weights_cached(beta: float, n_max: int) -> np.ndarray:
     if float(beta).is_integer():
         shift = int(beta) + 1
-        # 1 / C(n + beta + 1, beta + 1) with exact integer binomials.
-        vals = [1.0 / math.comb(n + shift, shift) for n in range(n_max + 1)]
+        # 1 / C(n + beta + 1, beta + 1): int true division rounds correctly and underflows to 0.
+        vals = [1 / math.comb(n + shift, shift) for n in range(n_max + 1)]
         arr = np.array(vals, dtype=np.float64)
     else:
         # w(n) = prod_{k<=n} k / (k + 1 + beta)
@@ -78,6 +78,20 @@ def weights(params: SpaceParams, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise InvalidInputError(f"n_max must be nonnegative, got {n_max}")
     return _weights_cached(params.beta, n_max)
+
+
+def _divisor_weights(params: SpaceParams, n_max: int) -> np.ndarray:
+    """``weights(params, n_max)`` for a caller that divides by them; ``InvalidInputError`` if one is 0.
+
+    Weights decrease in n, so the last one decides; far enough out they underflow.
+    """
+    w = weights(params, n_max)
+    if w[-1] == 0.0:
+        raise InvalidInputError(
+            f"weight w({np.count_nonzero(w)}) underflows to 0 at beta = {params.beta}; "
+            f"a division by it leaves the double range"
+        )
+    return w
 
 
 def weight(params: SpaceParams, n: int) -> float:
@@ -108,7 +122,7 @@ def kernel_series(params: SpaceParams, alpha: complex, degree: int) -> Truncated
     """
     alpha = require_in_disk(alpha)
     powers = np.conj(alpha) ** np.arange(degree + 1)
-    return TruncatedSeries(powers / weights(params, degree))
+    return TruncatedSeries(powers / _divisor_weights(params, degree))
 
 
 def suggest_kernel_degree(alpha: complex, tol: float) -> int:
@@ -129,4 +143,4 @@ def weight_reciprocal_sums(params: SpaceParams, n_max: int) -> np.ndarray:
     admissible ``beta``; this is the sequence whose divergence rules out
     convergent kernel-mass shortcuts at the boundary.
     """
-    return np.cumsum(1.0 / weights(params, n_max))
+    return np.cumsum(1.0 / _divisor_weights(params, n_max))

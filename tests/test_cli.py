@@ -25,10 +25,19 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"payload holds {name}, which strict JSON does not allow")
+
+
+def strict_json(text):
+    """Parse a payload, refusing the NaN and Infinity that ``json.loads`` accepts by default."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def payload(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
-    return json.loads(out)
+    return strict_json(out)
 
 
 def as_complex(pair):
@@ -180,6 +189,13 @@ def test_gram_csv_matches_exact_table(capsys, tmp_path):
         np.testing.assert_allclose(complex(re, im), expected[int(n), int(m)], atol=1e-14)
 
 
+def test_gram_near_the_beta_bound_prints_no_warning(capsys):
+    # A RuntimeWarning is an error under the test settings, so it would exit 3 here.
+    doc = payload(capsys, ["gram", "--beta", "1020", "--alpha", "0.5", "--n", "4"])
+    assert doc["max_out_of_band"] == 0
+    assert 0 < doc["max_in_band"] < 1e128
+
+
 def test_gram_noninteger_beta_needs_dimension(capsys):
     code, _, err = run_cli(capsys, ["gram", "--beta", "-0.5", "--alpha", "0.4,0", "--n", "6"])
     assert code == 2
@@ -207,6 +223,12 @@ def test_witness_payload_frozen(capsys):
     assert doc["direct"] == [0.125, 0]
     assert doc["truncated"] == [0.125, 0]
     assert doc["difference"] == 0
+
+
+def test_witness_payload_at_large_beta(capsys):
+    doc = payload(capsys, ["witness", "--alpha", "0.9", "--beta", "400"])
+    assert doc["direct"][0] == 0.9**403
+    assert 0 < doc["difference"] <= 403 * 2.0**-52 * doc["direct"][0]
 
 
 # --- csym search -------------------------------------------------------
@@ -273,7 +295,7 @@ def test_output_file_receives_payload_and_stdout_the_summary(capsys, tmp_path):
     out_file = tmp_path / "witness.json"
     code, out, _ = run_cli(capsys, ["witness", "--alpha", "0.3,0", "--beta", "0", "--output", str(out_file)])
     assert code == 0
-    doc = json.loads(out_file.read_text())
+    doc = strict_json(out_file.read_text())
     np.testing.assert_allclose(doc["direct"][0], 0.027, rtol=1e-12)
     assert out.strip() != ""  # human summary still printed
 
@@ -281,7 +303,7 @@ def test_output_file_receives_payload_and_stdout_the_summary(capsys, tmp_path):
 def test_summary_goes_to_stderr_when_payload_on_stdout(capsys):
     code, out, err = run_cli(capsys, ["witness", "--alpha", "0.3,0", "--beta", "0"])
     assert code == 0
-    json.loads(out)  # stdout is exactly the payload
+    strict_json(out)  # stdout is exactly the payload
     assert err.strip() != ""
 
 
@@ -322,14 +344,14 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert result.returncode == 0
-    assert json.loads(result.stdout)["direct"] == [0.125, 0]
+    assert strict_json(result.stdout)["direct"] == [0.125, 0]
 
 
 def test_classify_contraction_is_not_an_automorphism(capsys):
     code, out, err = run_cli(capsys, ["classify", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1"])
     assert code == 0, err
     assert '"is_automorphism":false' in out
-    assert json.loads(out)["dw"] == [0, 0]
+    assert strict_json(out)["dw"] == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -358,13 +380,23 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["csym", "--beta", "0", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--seed", "-1"],
         ["iterate", "--a", "1", "--b", "1", "--c", "0", "--d", "2", "--start", "nan,0", "--steps", "0"],
         ["iterate", "--a", "1", "--b", "1", "--c", "0", "--d", "2", "--start", "nan,0", "--steps", "3"],
+        ["kernel-check", "--beta", "400", "--dim", "1024", "--cases", "2"],
+        ["matrix", "--beta", "500", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--dim", "1024"],
+        ["matrix", "--beta", "2000.5", "--about", "0.3", "--factor", "0,1", "--dim", "600"],
+        ["gram", "--beta", "1030", "--alpha", "0.5", "--n", "4"],
+        ["subspace", "--beta", "1030", "--alpha", "0.5", "--order", "3"],
+        ["gram", "--beta", "1e300", "--alpha", "0.5"],
+        ["gram", "--beta", "600", "--alpha", "0.95", "--n", "12"],
+        ["witness", "--beta", "1e300", "--alpha", "0.5"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
          "gram-truncated-size-0", "gram-truncated-dim-0", "factor-nan", "exponent-nan",
          "kernel-check-dim-0", "kernel-check-cases-negative", "kernel-check-seed-negative",
          "csym-iters-negative", "csym-iters-0", "csym-seed-negative", "iterate-nan-seed-0-steps",
-         "iterate-nan-seed-3-steps"],
+         "iterate-nan-seed-3-steps", "kernel-check-weight-underflow", "matrix-weight-underflow",
+         "matrix-noninteger-weight-underflow", "gram-binomial-overflow", "subspace-binomial-overflow",
+         "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

@@ -566,6 +566,51 @@ def test_certificate_memory_does_not_grow_with_the_order():
     assert peak < 1 << 20
 
 
+def test_certificate_below_threshold_builds_no_table():
+    params = SpaceParams(0)
+    tracemalloc.start()
+    try:
+        report = subspace_orthogonality(params, 0.5, 5, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 19  # the dense table route peaks at 17 MB
+    # Equal to the gather from the dense table, over all 200 x 200 cross pairs.
+    rows, cols = zip(*_cross_pairs(0, 5, 200))
+    dense = gram_exact(params, 0.5, 199 * 5 + 4).entries[list(rows), list(cols)]
+    assert not report.guaranteed
+    assert report.max_cross == float(np.max(np.abs(dense))) > 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gram_exact(SpaceParams(1030), 0.5, 4),
+        lambda: gram_exact(SpaceParams(1e300), 0.5, 12),
+        lambda: gram_exact(SpaceParams(600), 0.95, 12),
+        lambda: subspace_orthogonality(SpaceParams(1030), 0.5, 3, 4),
+        lambda: obstruction_witness(0.5, 1e300),
+        lambda: involution_adjoint_apply(SpaceParams(1030), 0.5, TruncatedSeries([1.0]), 4),
+    ],
+    ids=["gram-binomial", "gram-huge-beta", "gram-scale", "subspace-binomial", "witness-huge-beta",
+         "involution-adjoint-binomial"],
+)
+def test_exact_formulas_outside_the_double_range_are_invalid_input(call):
+    with pytest.raises(InvalidInputError, match="beta = "):
+        call()
+
+
+def test_exact_formulas_at_the_beta_bound():
+    params = SpaceParams(1027)
+    # The k-sum stops at each diagonal's last column, so no product overflows.
+    expected = _gram_full_table(params, 0.5, 4)
+    assert gram_exact(params, 0.5, 4).entries.tobytes() == expected.tobytes()
+    assert subspace_orthogonality(SpaceParams(1030), 0.5, 2066, 4).max_cross == 0.0
+    for beta in (400, 1027):
+        report = obstruction_witness(0.9, beta)
+        assert 0.0 < report.difference <= (beta + 3) * 2.0**-52 * abs(report.direct)
+
+
 @pytest.mark.parametrize(
     "call",
     [

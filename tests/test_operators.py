@@ -34,12 +34,14 @@ from bergman_csym import (
     multiplication_matrix,
     mzstar_apply,
     mzstar_on_monomial,
+    norm,
     rotation,
     scaled,
     to_coords,
     to_series,
     verify_hurst,
     weight,
+    weight_reciprocal_sums,
     weights,
 )
 from bergman_csym.lft import power_table
@@ -563,3 +565,35 @@ def test_coordinates_preserve_norm():
     np.testing.assert_allclose(
         np.linalg.norm(coords) ** 2, inner_product(params, f, f).real, rtol=1e-12
     )
+
+
+# At beta = 2000.5 every weight from w(234) on underflows to 0.0.
+_UNDERFLOW = SpaceParams(2000.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: composition_matrix(involution(0.3), _UNDERFLOW, 599),
+        lambda: multiplication_matrix(TruncatedSeries([1.0, 0.5]), _UNDERFLOW, 599),
+        lambda: from_coords(_UNDERFLOW, np.ones(600)),
+        lambda: kernel_series(_UNDERFLOW, 0.3, 599),
+        lambda: adjoint_monomial(_UNDERFLOW, 0.3, 2, 599),
+        lambda: weight_reciprocal_sums(_UNDERFLOW, 599),
+    ],
+    ids=["composition_matrix", "multiplication_matrix", "from_coords", "kernel_series",
+         "adjoint_monomial", "weight_reciprocal_sums"],
+)
+def test_division_by_an_underflowed_weight_is_invalid_input(call):
+    with pytest.raises(InvalidInputError, match=r"w\(234\) underflows to 0 at beta = 2000.5"):
+        call()
+
+
+def test_products_with_underflowed_weights_stay_finite():
+    w = weights(_UNDERFLOW, 599)
+    assert w[233] > 0.0 == w[234]
+    f = TruncatedSeries(np.ones(600))
+    coords = to_coords(_UNDERFLOW, f, 600)
+    assert not coords[234:].any() and coords[233] != 0.0
+    assert norm(_UNDERFLOW, f) ** 2 == pytest.approx(inner_product(_UNDERFLOW, f, f).real)
+    assert composition_matrix(involution(0.3), _UNDERFLOW, 233).mat.shape == (234, 234)

@@ -226,25 +226,27 @@ def test_overflow_inside_a_loop_is_rejected(build):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,message",
     [
-        lambda: TruncatedSeries([]),
-        lambda: TruncatedSeries([np.nan]),
-        lambda: powers(TruncatedSeries([0.0, 1e200]), 4, 2),
-        lambda: mobius_powers(1.0, 1e200, 0.0, 1e-200, 3, 2),
-        lambda: compose(TruncatedSeries([0.0, 0.0, 0.0, 1.0]), TruncatedSeries([0.0, 1e200]), 2),
-        lambda: ConjugationMatrix(np.diag([1.0, 0.5])),
-        lambda: ConjugationMatrix([[0.0, -1.0], [1.0, 0.0]]),
-        lambda: binomial_expand(0.5, 2.0, -1),
-        lambda: hurst_factors(involution(0.5), SpaceParams(0), -1),
-        lambda: reciprocal_linear(1.0, 2.0, -1),
+        (lambda: TruncatedSeries([]), "constant coefficient"),
+        (lambda: TruncatedSeries([np.nan]), "must be finite"),
+        (lambda: powers(TruncatedSeries([0.0, 1e200]), 4, 2), "must be finite"),
+        (lambda: mobius_powers(1.0, 1e200, 0.0, 1e-200, 3, 2), "must be finite"),
+        (lambda: compose(TruncatedSeries([0.0, 0.0, 0.0, 1.0]), TruncatedSeries([0.0, 1e200]), 2),
+         "must be finite"),
+        (lambda: ConjugationMatrix(np.diag([1.0, 0.5])), "not unitary"),
+        (lambda: ConjugationMatrix([[0.0, -1.0], [1.0, 0.0]]), "not symmetric"),
+        (lambda: binomial_expand(0.5, 2.0, -1), "degree must be nonnegative, got -1"),
+        (lambda: hurst_factors(involution(0.5), SpaceParams(0), -1),
+         "degree must be nonnegative, got -1"),
+        (lambda: reciprocal_linear(1.0, 2.0, -1), "degree must be nonnegative, got -1"),
     ],
     ids=["empty", "nan", "powers-overflow", "mobius-powers-overflow", "compose-overflow",
          "conjugation-not-unitary", "conjugation-not-symmetric", "binomial-negative-degree",
          "hurst-negative-degree", "reciprocal-negative-degree"],
 )
-def test_bad_series_and_conjugations_are_invalid_input(call):
-    with pytest.raises(InvalidInputError):
+def test_bad_series_and_conjugations_are_invalid_input(call, message):
+    with pytest.raises(InvalidInputError, match=message):
         call()
 
 

@@ -38,12 +38,15 @@ def test_weight_of_constant_is_one():
 
 
 def test_integer_weight_is_reciprocal_binomial():
-    # exact rational route, compared bitwise after float conversion
-    for beta in (0, 1, 2, 3):
+    # exact rational route, compared bitwise after float conversion; from beta = 5
+    # the binomial passes 2**53 below n = 256, and at beta = 400 it passes DBL_MAX
+    for beta, n_max in [(0, 30), (1, 30), (2, 30), (3, 30), (5, 256), (8, 256), (10, 256),
+                        (20, 256), (400, 806)]:
         params = SpaceParams(beta)
-        for n in range(31):
-            expected = float(Fraction(1, comb(n + beta + 1, beta + 1)))
-            assert weight(params, n) == expected
+        w = weights(params, n_max)
+        for n in range(n_max + 1):
+            assert w[n] == float(Fraction(1, comb(n + beta + 1, beta + 1)))
+        assert weight(params, n_max) == w[n_max]
 
 
 def test_hardy_weights_all_one():
