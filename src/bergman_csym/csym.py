@@ -47,7 +47,6 @@ from .operators import (
     _owned_square,
     _weighted_powers,
     from_coords,
-    involution_adjoint_apply,
 )
 from .series import TruncatedSeries
 from .space import SpaceParams, inner_product, kernel_series, weights
@@ -152,26 +151,27 @@ def spectral_symmetry_check(t: OperatorMatrix, c: ConjugationMatrix, pairs) -> f
 def adjoint_monomial(
     params: SpaceParams, alpha: complex, n: int, degree: int
 ) -> TruncatedSeries:
-    """The adjoint image of ``z**n`` under composition with the involution at ``alpha``.
+    """The adjoint image of ``z**n`` under composition with the involution at ``alpha``, any ``beta``.
 
-    Integer ``beta`` goes through the exact finite adjoint formula.  For other
-    ``beta`` that sum is infinite, so row ``n`` of the truncated composition
-    matrix is read, conjugated (see :func:`_adjoint_images`); it stays within
-    the power-table bound of the exact image, where a Cowen sum cut at
-    ``degree`` reached 231 times that bound (beta = 2.5, |alpha| = 0.984, D = 48).
-    ``n = 0`` returns the truncated reproducing kernel at ``alpha`` either way.
+    Row ``n`` of the truncated composition matrix, conjugated (see
+    :func:`_adjoint_images`): a table of ``n + 1`` rows of the involution's
+    powers.  It stays within the power-table bound of the exact image up to
+    |alpha| = 0.984 (D = 48), where the finite adjoint formula of
+    :func:`~bergman_csym.operators.involution_adjoint_apply` reaches 20 times
+    that bound at beta = 2.  ``n = 0`` returns the truncated reproducing
+    kernel at ``alpha``.
     """
     if not 0 <= n <= degree:
         raise InvalidInputError(f"monomial degree {n} outside [0, {degree}]")
-    if params.integer_beta:
-        return involution_adjoint_apply(params, alpha, TruncatedSeries.monomial(n, degree), degree)
     return from_coords(params, _adjoint_images(params, alpha, n + 1, degree)[:, n])
 
 
 def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int) -> np.ndarray:
     """Orthonormal coordinates of the adjoint images of ``z**0..z**(count-1)``, as columns.
 
-    Column n is ``sqrt(w(n))`` times row n of the truncated composition matrix, conjugated.
+    Column n is ``sqrt(w(n))`` times row n of the truncated composition matrix, conjugated,
+    with the rows scaled from a power table of ``count`` rows (within the power-table
+    bound of the square table's rows; see :func:`~bergman_csym.series.mobius_powers`).
     """
     rows = _weighted_powers(power_table(involution(alpha), degree + 1, count - 1), params, degree)
     return rows.conj().T * np.sqrt(weights(params, count - 1))[None, :]
@@ -211,7 +211,9 @@ def _band_diagonals(params: SpaceParams, alpha: complex, size: int, offsets):
 
     ``|d| <= 2 + beta``, and ``m`` runs over the columns with both indices below
     ``size``.  The k-sum stops at the diagonal's last column: later terms add
-    empty slices, and their scalar products can overflow.
+    empty slices, and their scalar products can overflow.  Terms that remain
+    can still overflow at large ``beta``; a diagonal that is not finite raises
+    ``InvalidInputError``.
     """
     r = _binomial_alpha_weights(alpha, params.beta)
     top = r.size - 1
@@ -232,9 +234,16 @@ def _band_diagonals(params: SpaceParams, alpha: complex, size: int, offsets):
         first, stop = max(0, -d), size - max(0, d)
         m = idx[first:stop]
         acc = np.zeros(stop - first, dtype=np.complex128)
-        for k in range(first, min(top - max(0, d), stop - 1) + 1):
-            acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
-        yield d, m, scale[m + d] * acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(first, min(top - max(0, d), stop - 1) + 1):
+                acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
+            values = scale[m + d] * acc
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError(
+                f"the exact Gram sum leaves the double range at beta = {params.beta}, "
+                f"|alpha| = {abs(alpha)}"
+            )
+        yield d, m, values
 
 
 def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
@@ -277,9 +286,9 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
 def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) -> GramTable:
     """Gram table via the truncated matrix route, any ``beta``.
 
-    Adjoint images are columns of the conjugate transpose of the truncated
-    composition matrix (:func:`_adjoint_images`); inner products are plain
-    coordinate dot products.
+    Adjoint images are columns of the conjugate transpose of the first
+    ``size`` rows of the truncated composition matrix (:func:`_adjoint_images`);
+    inner products are plain coordinate dot products.
     Converges to the exact table as ``degree`` grows and serves as the
     independent oracle for it.
     """

@@ -107,7 +107,8 @@ def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
 
 
 def _series_symbol(f: TruncatedSeries, degree: int) -> TruncatedSeries:
-    f = f.resized(degree)
+    # Cut to degree, never padded: each power is then one short convolution.
+    f = f.resized(min(f.degree, degree))
     # No closed self-map test exists for a bare series; sample just inside
     # the circle and insist the values stay in the open disk.
     zs = (1.0 - 1e-3) * np.exp(2j * np.pi * np.arange(512) / 512)
@@ -303,6 +304,13 @@ def involution_adjoint_apply(
     the involution, the kernel ``K`` at ``alpha`` and ``conj(h_k)`` as above.
     The sum is finite, so the result is exact up to the truncation of one
     composition and one product.  At ``alpha = 0`` it is ``f(z) -> f(-z)``.
+
+    Near the circle the product with the kernel, of size
+    ``(1 - |alpha|**2)**-(2+beta)``, cancels: on monomials (D = 48, beta = 2)
+    the result leaves the power-table bound ``(D+1) 2**-52 max|exact|`` from
+    |alpha| = 0.875 on, 1.22 times it there and 20 times at |alpha| = 0.984.
+    For the image of a monomial, :func:`~bergman_csym.csym.adjoint_monomial`
+    is the accurate route.
     """
     if not params.integer_beta:
         raise NonIntegerBetaError(

@@ -159,14 +159,23 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
         d T[n, j] = b T[n, j-1] + a T[n-1, j-1] - c T[n-1, j],
 
     O(1) work per entry, against O(D) for a convolution.  Errors are damped
-    by ``|c/d| < 1``, which holds for every self-map.  Each entry needs
-    entries on the two previous anti-diagonals ``s = n + j``, so the table
-    is filled one anti-diagonal at a time by vector operations on three
-    diagonal buffers indexed by ``n + 1`` (index 0 is the zero row
-    ``n = -1``).  Each diagonal is written straight into the result through
-    a strided view, so memory is the result plus O(D).  Entry ``(n, j)``
+    by ``|c/d| < 1`` and ``|b/d| < 1``, which hold for every self-map.  The
+    table is filled one of two ways, chosen by its shape:
+
+    - a short table, ``2 (degree + 1) <= count``, row by row: row n is the
+      first-order recurrence ``y[j] = (b/d) y[j-1] + u[j]`` in j, with
+      ``u[j] = (a T[n-1, j-1] - c T[n-1, j]) / d`` and ``u[0] = 0``, solved
+      by the doubling scan ``y[s:] += (b/d)**s y[:-s]`` for s = 1, 2, 4, ...
+      (Hillis and Steele), ceil(log2 count) vector steps per row;
+    - any other table one anti-diagonal ``s = n + j`` at a time, since each
+      entry needs entries on the two previous anti-diagonals.
+
+    The scan pays off only while the rows are few: from about
+    ``count / 2`` rows on, the ``log2 count`` steps per row cost more than
+    the wavefront's one step per diagonal.  Within one fill entry ``(n, j)``
     depends only on rows up to ``n``, so row n does not depend on
-    ``degree``.  The table is checked for finiteness once, as in
+    ``degree``; the two fills agree within the power-table bound, not
+    bitwise.  The table is checked for finiteness once, as in
     :func:`powers`.
     """
     a, b, c, d = (complex(t) for t in (a, b, c, d))
@@ -176,31 +185,63 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
     table[0, :1] = 1.0
     if count < 2:
         return table
+    fill = _fill_rows if 2 * (degree + 1) <= count else _fill_antidiagonals
+    # Overflow is rejected after the fill, where every entry has been stored.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fill(table, a, b, c, d)
+    return _require_finite(table)
+
+
+def _fill_rows(table: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
+    """Fill a power table whose row 0 is set, row by row, each row by a doubling scan in j."""
+    count = table.shape[1]
+    # (s, (b/d)**s) for s = 1, 2, 4, ... below count, by repeated squaring.
+    steps, s, ratio = [], 1, np.complex128(b) / d
+    while s < count:
+        steps.append((s, ratio))
+        s, ratio = 2 * s, ratio * ratio
+    tmp = np.empty(count - 1, dtype=np.complex128)
+    for n, y in enumerate(table):
+        if n:  # u, from the row above; u[0] = 0 is already in place
+            np.multiply(table[n - 1, :-1], a, out=y[1:])
+            np.multiply(table[n - 1, 1:], c, out=tmp)
+            np.subtract(y[1:], tmp, out=y[1:])
+            np.divide(y[1:], d, out=y[1:])
+        for s, ratio in steps:
+            np.multiply(y[:-s], ratio, out=tmp[: count - s])
+            np.add(y[s:], tmp[: count - s], out=y[s:])
+
+
+def _fill_antidiagonals(table: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
+    """Fill a power table whose row 0 is set, one anti-diagonal at a time.
+
+    Vector operations run on three diagonal buffers indexed by ``n + 1``
+    (index 0 is the zero row ``n = -1``).  Each diagonal is written straight
+    into the table through a strided view, so memory is the table plus O(D).
+    """
+    degree, count = table.shape[0] - 1, table.shape[1]
     flat = table.reshape(-1)
     step = count - 1
     older, prev, cur = (np.zeros(degree + 2, dtype=np.complex128) for _ in range(3))
     tmp = np.empty(degree + 1, dtype=np.complex128)
     prev[1] = 1.0
     # A buffer keeps stale entries outside the rows of its diagonal; every
-    # read below stays inside those rows or hits the zero pad.  Overflow is
-    # rejected after the loop, where every entry has been stored.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, degree + count):
-            lo = max(0, s - step)
-            top = min(degree, s - 1)  # the last row with j >= 1
-            new, k = cur[lo + 1 : top + 2], top - lo + 1
-            np.multiply(prev[lo + 1 : top + 2], b, out=new)
-            np.multiply(older[lo : top + 1], a, out=tmp[:k])
-            np.add(new, tmp[:k], out=new)
-            np.multiply(prev[lo : top + 1], c, out=tmp[:k])
-            np.subtract(new, tmp[:k], out=new)
-            np.divide(new, d, out=new)
-            if s <= degree:  # column 0 is zero below row 0
-                cur[s + 1] = 0.0
-            hi = min(degree, s)
-            flat[lo * step + s : hi * step + s + 1 : step] = cur[lo + 1 : hi + 2]
-            older, prev, cur = prev, cur, older
-    return _require_finite(table)
+    # read below stays inside those rows or hits the zero pad.
+    for s in range(1, degree + count):
+        lo = max(0, s - step)
+        top = min(degree, s - 1)  # the last row with j >= 1
+        new, k = cur[lo + 1 : top + 2], top - lo + 1
+        np.multiply(prev[lo + 1 : top + 2], b, out=new)
+        np.multiply(older[lo : top + 1], a, out=tmp[:k])
+        np.add(new, tmp[:k], out=new)
+        np.multiply(prev[lo : top + 1], c, out=tmp[:k])
+        np.subtract(new, tmp[:k], out=new)
+        np.divide(new, d, out=new)
+        if s <= degree:  # column 0 is zero below row 0
+            cur[s + 1] = 0.0
+        hi = min(degree, s)
+        flat[lo * step + s : hi * step + s + 1 : step] = cur[lo + 1 : hi + 2]
+        older, prev, cur = prev, cur, older
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:

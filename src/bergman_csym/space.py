@@ -94,6 +94,26 @@ def _divisor_weights(params: SpaceParams, n_max: int) -> np.ndarray:
     return w
 
 
+def _divided_by_weights(params: SpaceParams, n_max: int, values=1.0, cumulative: bool = False) -> np.ndarray:
+    """``values[n] / w(n)`` for ``n = 0..n_max``, or their partial sums.
+
+    ``InvalidInputError`` if one leaves the double range: a subnormal weight
+    is not 0, yet dividing by it can overflow, and a complex numerator is
+    divided through the reciprocal of the weight.
+    """
+    w = _divisor_weights(params, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = values / w
+        if cumulative:
+            out = np.cumsum(out)
+    if not np.all(np.isfinite(out)):
+        n = int(np.argmin(np.isfinite(out)))
+        raise InvalidInputError(
+            f"a division by w({n}) = {w[n]:.3g} leaves the double range at beta = {params.beta}"
+        )
+    return out
+
+
 def weight(params: SpaceParams, n: int) -> float:
     """The single weight ``w(n)``."""
     return float(weights(params, n)[n])
@@ -122,7 +142,7 @@ def kernel_series(params: SpaceParams, alpha: complex, degree: int) -> Truncated
     """
     alpha = require_in_disk(alpha)
     powers = np.conj(alpha) ** np.arange(degree + 1)
-    return TruncatedSeries(powers / _divisor_weights(params, degree))
+    return TruncatedSeries(_divided_by_weights(params, degree, powers))
 
 
 def suggest_kernel_degree(alpha: complex, tol: float) -> int:
@@ -143,4 +163,4 @@ def weight_reciprocal_sums(params: SpaceParams, n_max: int) -> np.ndarray:
     admissible ``beta``; this is the sequence whose divergence rules out
     convergent kernel-mass shortcuts at the boundary.
     """
-    return np.cumsum(1.0 / _divisor_weights(params, n_max))
+    return _divided_by_weights(params, n_max, cumulative=True)

@@ -388,6 +388,8 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["gram", "--beta", "1e300", "--alpha", "0.5"],
         ["gram", "--beta", "600", "--alpha", "0.95", "--n", "12"],
         ["witness", "--beta", "1e300", "--alpha", "0.5"],
+        ["gram", "--beta", "1020", "--alpha", "0.5", "--n", "300"],
+        ["kernel-check", "--beta", "2000.5", "--dim", "234", "--cases", "2"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
@@ -396,7 +398,8 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
          "csym-iters-negative", "csym-iters-0", "csym-seed-negative", "iterate-nan-seed-0-steps",
          "iterate-nan-seed-3-steps", "kernel-check-weight-underflow", "matrix-weight-underflow",
          "matrix-noninteger-weight-underflow", "gram-binomial-overflow", "subspace-binomial-overflow",
-         "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta"],
+         "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta", "gram-sum-overflow",
+         "kernel-check-kernel-overflow"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

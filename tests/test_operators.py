@@ -352,7 +352,7 @@ def test_multiplication_matrix_equals_scipy_toeplitz(beta):
 
 def column_loop_matrix(symbol, params, degree):
     """The composition matrix of a series symbol one column at a time, each power by one more ``mul``."""
-    phi = symbol.resized(degree)
+    phi = symbol.resized(min(symbol.degree, degree))
     sqrtw = np.sqrt(weights(params, degree))
     mat = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
     power = TruncatedSeries.one(degree)
@@ -508,8 +508,8 @@ _ORACLE_ALPHAS = [0.8125, 0.5 + 0.625j, -0.8125j, -0.625 - 0.5j]
 
 @pytest.mark.parametrize("alpha", _ORACLE_ALPHAS)
 def test_adjoint_images_within_bound_of_exact_images(alpha):
-    # Integer beta goes through the finite formula, the rest through the row
-    # route of adjoint_monomial; both are judged by the power-table bound.
+    # The finite formula at integer beta, adjoint_monomial at the rest; both
+    # are judged by the power-table bound.
     degree = 48
     phi = involution(alpha)
     table = exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, degree + 1, degree)
@@ -521,6 +521,24 @@ def test_adjoint_images_within_bound_of_exact_images(alpha):
                 got = involution_adjoint_apply(params, alpha, monomial(n, degree), degree)
             else:
                 got = adjoint_monomial(params, alpha, n, degree)
+            reference = exact.adjoint_image_exact(table, beta, n)
+            assert exact.max_error_ratio([got.coeffs], [reference], bound) <= 1.0, (beta, n)
+
+
+# Dyadic points with |alpha| from 0.875 to 0.984375, where the finite formula
+# of involution_adjoint_apply leaves the bound: 1.2 to 20 times it at beta = 2.
+_NEAR_CIRCLE_ALPHAS = [0.875, -0.9375j, 0.96875, -0.984375]
+
+
+@pytest.mark.parametrize("alpha", _NEAR_CIRCLE_ALPHAS)
+def test_adjoint_monomial_within_bound_of_exact_images_near_the_circle(alpha):
+    degree = 48
+    phi = involution(alpha)
+    table = exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, degree + 1, degree)
+    bound = exact.power_table_bound(degree)
+    for beta in (0, 1, 2):
+        for n in (0, 3, 12, 24, 48):
+            got = adjoint_monomial(SpaceParams(beta), alpha, n, degree)
             reference = exact.adjoint_image_exact(table, beta, n)
             assert exact.max_error_ratio([got.coeffs], [reference], bound) <= 1.0, (beta, n)
 
@@ -569,23 +587,31 @@ def test_coordinates_preserve_norm():
 
 # At beta = 2000.5 every weight from w(234) on underflows to 0.0.
 _UNDERFLOW = SpaceParams(2000.5)
+_ZERO_WEIGHT = r"w\(234\) underflows to 0 at beta = 2000.5"
+# Weights below 2**-1022 are subnormal, not 0, and a division by one can
+# overflow: 1 / w(219) = 1 / 9.41e-310 does, and a complex numerator is
+# divided through that reciprocal.
+_SUBNORMAL_WEIGHT = r"a division by w\(219\) = 9.41e-310 leaves the double range at beta = 2000.5"
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,match",
     [
-        lambda: composition_matrix(involution(0.3), _UNDERFLOW, 599),
-        lambda: multiplication_matrix(TruncatedSeries([1.0, 0.5]), _UNDERFLOW, 599),
-        lambda: from_coords(_UNDERFLOW, np.ones(600)),
-        lambda: kernel_series(_UNDERFLOW, 0.3, 599),
-        lambda: adjoint_monomial(_UNDERFLOW, 0.3, 2, 599),
-        lambda: weight_reciprocal_sums(_UNDERFLOW, 599),
+        (lambda: composition_matrix(involution(0.3), _UNDERFLOW, 599), _ZERO_WEIGHT),
+        (lambda: multiplication_matrix(TruncatedSeries([1.0, 0.5]), _UNDERFLOW, 599), _ZERO_WEIGHT),
+        (lambda: from_coords(_UNDERFLOW, np.ones(600)), _ZERO_WEIGHT),
+        (lambda: kernel_series(_UNDERFLOW, 0.3, 599), _ZERO_WEIGHT),
+        (lambda: adjoint_monomial(_UNDERFLOW, 0.3, 2, 599), _ZERO_WEIGHT),
+        (lambda: weight_reciprocal_sums(_UNDERFLOW, 599), _ZERO_WEIGHT),
+        (lambda: kernel_series(_UNDERFLOW, 0.9, 233), _SUBNORMAL_WEIGHT),
+        (lambda: weight_reciprocal_sums(_UNDERFLOW, 233), _SUBNORMAL_WEIGHT),
     ],
     ids=["composition_matrix", "multiplication_matrix", "from_coords", "kernel_series",
-         "adjoint_monomial", "weight_reciprocal_sums"],
+         "adjoint_monomial", "weight_reciprocal_sums", "kernel_series-overflow",
+         "weight_reciprocal_sums-overflow"],
 )
-def test_division_by_an_underflowed_weight_is_invalid_input(call):
-    with pytest.raises(InvalidInputError, match=r"w\(234\) underflows to 0 at beta = 2000.5"):
+def test_division_by_an_underflowed_weight_is_invalid_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
         call()
 
 

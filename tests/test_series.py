@@ -378,9 +378,16 @@ _POWER_ROUTES = {
 }
 
 
+# The maps with an exact table: _DYADIC_MAPS and an automorphism with |c/d| = 0.983.
+_EXACT_MAPS = {
+    **_DYADIC_MAPS,
+    "near-circle": compose_maps(involution(0.3125 + 0.875j), scaled(involution(-0.0625 + 0.625j), -1.0)),
+}
+
+
 @lru_cache(maxsize=None)
 def _exact_table(name):
-    phi = _DYADIC_MAPS[name]
+    phi = _EXACT_MAPS[name]
     return exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, _EXACT_DEGREE + 1, _EXACT_DEGREE)
 
 
@@ -411,12 +418,12 @@ def test_exact_power_table_small_cases():
 
 
 def test_recurrence_within_bound_near_the_circle():
-    # An automorphism with |c/d| = 0.983: the recurrence stays within the
-    # bound, the convolution route it replaced for Möbius maps does not.
-    phi = compose_maps(involution(0.3125 + 0.875j), scaled(involution(-0.0625 + 0.625j), -1.0))
+    # The recurrence stays within the bound, the convolution route it
+    # replaced for Möbius maps does not.
+    phi = _EXACT_MAPS["near-circle"]
     assert phi.is_automorphism and abs(phi.c / phi.d) > 0.98
     degree = _EXACT_DEGREE
-    table = exact.mobius_powers_exact(phi.a, phi.b, phi.c, phi.d, degree + 1, degree)
+    table = _exact_table("near-circle")
     bound = exact.power_table_bound(degree)
     assert exact.max_error_ratio(power_table(phi, degree + 1, degree), table, bound) <= 1.0
     assert exact.max_error_ratio(_POWER_ROUTES["convolution"](phi, degree + 1, degree), table, bound) > 1.0
@@ -441,12 +448,31 @@ def test_power_table_within_bound_of_power_loop(a, b, radius, turn, degree):
     assert np.max(np.abs(table - reference)) <= bound
 
 
+@pytest.mark.parametrize("degree", [0, 1, 7, 12])
+@pytest.mark.parametrize("name", sorted(_EXACT_MAPS))
+def test_short_power_table_within_bound_of_exact(name, degree):
+    # 2 (degree + 1) <= count: the table is filled row by row, each row by a scan.
+    table = power_table(_EXACT_MAPS[name], _EXACT_DEGREE + 1, degree)
+    reference = _exact_table(name)[: degree + 1]
+    ratio = exact.max_error_ratio(table, reference, exact.power_table_bound(_EXACT_DEGREE))
+    assert ratio <= 1.0, ratio
+
+
 @pytest.mark.parametrize("count", [1, 2, 5, 40, 201])
 def test_power_table_rows_do_not_depend_on_degree(count):
+    # Bitwise within one fill; across the shape rule of mobius_powers the
+    # rows agree within the power-table bound.
     for phi in (involution(0.3 + 0.4j), hyperbolic_model(0.5), _DYADIC_MAPS["contraction-0.9"]):
         full = power_table(phi, count, 200)
+        tallest_short = power_table(phi, count, max(count // 2 - 1, 0))
+        bound = float(exact.power_table_bound(200)) * np.max(np.abs(full))
         for degree in (0, 1, 2, 7, 31, 64, 199):
-            assert power_table(phi, count, degree).tobytes() == full[: degree + 1].tobytes()
+            table = power_table(phi, count, degree)
+            if 2 * (degree + 1) <= count:  # filled row by row
+                assert table.tobytes() == tallest_short[: degree + 1].tobytes()
+                assert np.max(np.abs(table - full[: degree + 1])) <= bound
+            else:
+                assert table.tobytes() == full[: degree + 1].tobytes()
 
 
 @pytest.mark.parametrize("count,degree", [(0, 3), (1, 0), (1, 5), (2, 0), (7, 0), (4, 9)])
