@@ -40,16 +40,9 @@ from .errors import (
     require_in_disk,
 )
 from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, power_table
-from .operators import (
-    OperatorMatrix,
-    _binomial_alpha_weights,
-    _exact_beta,
-    _owned_square,
-    _weighted_powers,
-    from_coords,
-)
+from .operators import OperatorMatrix, _binomial_alpha_weights, _exact_beta, _owned_square
 from .series import TruncatedSeries
-from .space import SpaceParams, inner_product, kernel_series, weights
+from .space import SpaceParams, _divided_by_weights, inner_product, kernel_series, weights
 
 __all__ = [
     "ConjugationMatrix",
@@ -153,28 +146,30 @@ def adjoint_monomial(
 ) -> TruncatedSeries:
     """The adjoint image of ``z**n`` under composition with the involution at ``alpha``, any ``beta``.
 
-    Row ``n`` of the truncated composition matrix, conjugated (see
-    :func:`_adjoint_images`): a table of ``n + 1`` rows of the involution's
-    powers.  It stays within the power-table bound of the exact image up to
-    |alpha| = 0.984 (D = 48), where the finite adjoint formula of
-    :func:`~bergman_csym.operators.involution_adjoint_apply` reaches 20 times
-    that bound at beta = 2.  ``n = 0`` returns the truncated reproducing
-    kernel at ``alpha``.
+    Row ``n`` of :func:`_adjoint_images`, read off a table of ``n + 1`` rows
+    of the involution's powers.  It stays within the power-table bound of
+    the exact image up to |alpha| = 0.984 (D = 48), where the finite adjoint
+    formula of :func:`~bergman_csym.operators.involution_adjoint_apply`
+    reaches 20 times that bound at beta = 2.  ``n = 0`` returns the
+    truncated reproducing kernel at ``alpha``.
     """
     if not 0 <= n <= degree:
         raise InvalidInputError(f"monomial degree {n} outside [0, {degree}]")
-    return from_coords(params, _adjoint_images(params, alpha, n + 1, degree)[:, n])
+    return TruncatedSeries(_adjoint_images(params, alpha, n + 1, degree)[n])
 
 
 def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int) -> np.ndarray:
-    """Orthonormal coordinates of the adjoint images of ``z**0..z**(count-1)``, as columns.
+    """Coefficients of the adjoint images of ``z**0..z**(count-1)``, as rows.
 
-    Column n is ``sqrt(w(n))`` times row n of the truncated composition matrix, conjugated,
-    with the rows scaled from a power table of ``count`` rows (within the power-table
-    bound of the square table's rows; see :func:`~bergman_csym.series.mobius_powers`).
+    Since ``<C* z**n, z**m> = <z**n, phi**m>``, coefficient m of row n is
+    ``w(n) conj(T[n, m]) / w(m)``, read off ``count`` rows of the
+    involution's power table ``T`` (within the power-table bound of the
+    square table's rows; see :func:`~bergman_csym.series.mobius_powers`).
     """
-    rows = _weighted_powers(power_table(involution(alpha), degree + 1, count - 1), params, degree)
-    return rows.conj().T * np.sqrt(weights(params, count - 1))[None, :]
+    rows = power_table(involution(alpha), degree + 1, count - 1)
+    np.conjugate(rows, out=rows)
+    rows *= weights(params, count - 1)[:, None]
+    return _divided_by_weights(params, degree, rows)
 
 
 @dataclass(frozen=True)
@@ -286,19 +281,18 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
 def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) -> GramTable:
     """Gram table via the truncated matrix route, any ``beta``.
 
-    Adjoint images are columns of the conjugate transpose of the first
-    ``size`` rows of the truncated composition matrix (:func:`_adjoint_images`);
-    inner products are plain coordinate dot products.
-    Converges to the exact table as ``degree`` grows and serves as the
-    independent oracle for it.
+    Entry (n, m) is the weighted product ``sum_k w(k) v_n[k] conj(v_m[k])``
+    of the truncated adjoint images (:func:`_adjoint_images`), one matrix
+    product ``(V w) V^H``.  Converges to the exact table as ``degree`` grows
+    and serves as the independent oracle for it.
     """
     alpha = complex(alpha)
     if size < 1:
         raise InvalidInputError(f"size must be at least 1, got {size}")
     if size - 1 > degree:
         raise InvalidInputError(f"size {size} needs degree >= {size - 1}")
-    cols = _adjoint_images(params, alpha, size, degree)
-    entries = cols.T @ np.conj(cols)
+    rows = _adjoint_images(params, alpha, size, degree)
+    entries = (rows * weights(params, degree)) @ rows.conj().T
     entries.flags.writeable = False
     return GramTable(params.beta, alpha, entries)
 

@@ -117,18 +117,6 @@ def _series_symbol(f: TruncatedSeries, degree: int) -> TruncatedSeries:
     return f
 
 
-def _weighted_powers(table: np.ndarray, params: SpaceParams, degree: int) -> np.ndarray:
-    """Rows of a composition matrix from the same rows of a power table, scaled in place.
-
-    Entry ``(n, j)`` is ``T[n, j] sqrt(w(n) / w(j))``, for ``j = 0..degree``.
-    """
-    sqrtw = np.sqrt(_divisor_weights(params, degree))
-    # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
-    table *= sqrtw[: table.shape[0], None]
-    table /= sqrtw
-    return table
-
-
 def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatrix:
     """Compression of ``f -> f o symbol`` to degrees 0..``degree``.
 
@@ -146,9 +134,12 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
         table = power_table(symbol, degree + 1, degree)
     else:
         table = powers(_series_symbol(symbol, degree), degree + 1, degree)
-    mat = _weighted_powers(table, params, degree)
-    mat.flags.writeable = False
-    return OperatorMatrix(mat, params)
+    sqrtw = np.sqrt(_divisor_weights(params, degree))
+    # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
+    table *= sqrtw[:, None]
+    table /= sqrtw
+    table.flags.writeable = False
+    return OperatorMatrix(table, params)
 
 
 def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int) -> OperatorMatrix:

@@ -162,7 +162,7 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
     by ``|c/d| < 1`` and ``|b/d| < 1``, which hold for every self-map.  The
     table is filled one of two ways, chosen by its shape:
 
-    - a short table, ``2 (degree + 1) <= count``, row by row: row n is the
+    - a short table, ``3 (degree + 1) <= count``, row by row: row n is the
       first-order recurrence ``y[j] = (b/d) y[j-1] + u[j]`` in j, with
       ``u[j] = (a T[n-1, j-1] - c T[n-1, j]) / d`` and ``u[0] = 0``, solved
       by the doubling scan ``y[s:] += (b/d)**s y[:-s]`` for s = 1, 2, 4, ...
@@ -171,7 +171,7 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
       entry needs entries on the two previous anti-diagonals.
 
     The scan pays off only while the rows are few: from about
-    ``count / 2`` rows on, the ``log2 count`` steps per row cost more than
+    ``count / 3`` rows on, the ``log2 count`` steps per row cost more than
     the wavefront's one step per diagonal.  Within one fill entry ``(n, j)``
     depends only on rows up to ``n``, so row n does not depend on
     ``degree``; the two fills agree within the power-table bound, not
@@ -185,7 +185,7 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
     table[0, :1] = 1.0
     if count < 2:
         return table
-    fill = _fill_rows if 2 * (degree + 1) <= count else _fill_antidiagonals
+    fill = _fill_rows if 3 * (degree + 1) <= count else _fill_antidiagonals
     # Overflow is rejected after the fill, where every entry has been stored.
     with np.errstate(over="ignore", invalid="ignore"):
         fill(table, a, b, c, d)

@@ -46,6 +46,7 @@ from bergman_csym import (
 )
 from bergman_csym.lft import power_table
 from bergman_csym.operators import _binomial_alpha_weights, _cowen_sum
+from bergman_csym.space import _divided_by_weights
 import exact
 from helpers import kernel_check_map, random_poly, random_self_map
 
@@ -589,9 +590,11 @@ def test_coordinates_preserve_norm():
 _UNDERFLOW = SpaceParams(2000.5)
 _ZERO_WEIGHT = r"w\(234\) underflows to 0 at beta = 2000.5"
 # Weights below 2**-1022 are subnormal, not 0, and a division by one can
-# overflow: 1 / w(219) = 1 / 9.41e-310 does, and a complex numerator is
-# divided through that reciprocal.
+# overflow: 1 / w(219) = 1 / 9.41e-310 does.  A complex numerator is divided
+# part by part, so the kernel at 0.9 first overflows where its quotient
+# does, 0.9**229 / w(229) = 3.2e308.
 _SUBNORMAL_WEIGHT = r"a division by w\(219\) = 9.41e-310 leaves the double range at beta = 2000.5"
+_KERNEL_OVERFLOW = r"a division by w\(229\) = 1.02e-319 leaves the double range at beta = 2000.5"
 
 
 @pytest.mark.parametrize(
@@ -603,7 +606,7 @@ _SUBNORMAL_WEIGHT = r"a division by w\(219\) = 9.41e-310 leaves the double range
         (lambda: kernel_series(_UNDERFLOW, 0.3, 599), _ZERO_WEIGHT),
         (lambda: adjoint_monomial(_UNDERFLOW, 0.3, 2, 599), _ZERO_WEIGHT),
         (lambda: weight_reciprocal_sums(_UNDERFLOW, 599), _ZERO_WEIGHT),
-        (lambda: kernel_series(_UNDERFLOW, 0.9, 233), _SUBNORMAL_WEIGHT),
+        (lambda: kernel_series(_UNDERFLOW, 0.9, 233), _KERNEL_OVERFLOW),
         (lambda: weight_reciprocal_sums(_UNDERFLOW, 233), _SUBNORMAL_WEIGHT),
     ],
     ids=["composition_matrix", "multiplication_matrix", "from_coords", "kernel_series",
@@ -613,6 +616,17 @@ _SUBNORMAL_WEIGHT = r"a division by w\(219\) = 9.41e-310 leaves the double range
 def test_division_by_an_underflowed_weight_is_invalid_input(call, match):
     with pytest.raises(InvalidInputError, match=match):
         call()
+
+
+def test_division_of_rows_names_the_first_overflowing_weight_index():
+    # Part by part, row 0 first overflows at w(225) and row 1 at w(222); the
+    # error names the smaller weight index, not the first position in the
+    # flattened array.
+    values = np.empty((2, 234), dtype=complex)
+    values[0], values[1] = 1e-6j, 1e-3
+    with pytest.raises(InvalidInputError, match=r"a division by w\(222\) = 9.25e-313 "):
+        _divided_by_weights(_UNDERFLOW, 233, values)
+    assert np.all(np.isfinite(_divided_by_weights(_UNDERFLOW, 221, values[:, :222])))
 
 
 def test_products_with_underflowed_weights_stay_finite():

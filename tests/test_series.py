@@ -451,7 +451,7 @@ def test_power_table_within_bound_of_power_loop(a, b, radius, turn, degree):
 @pytest.mark.parametrize("degree", [0, 1, 7, 12])
 @pytest.mark.parametrize("name", sorted(_EXACT_MAPS))
 def test_short_power_table_within_bound_of_exact(name, degree):
-    # 2 (degree + 1) <= count: the table is filled row by row, each row by a scan.
+    # 3 (degree + 1) <= count: the table is filled row by row, each row by a scan.
     table = power_table(_EXACT_MAPS[name], _EXACT_DEGREE + 1, degree)
     reference = _exact_table(name)[: degree + 1]
     ratio = exact.max_error_ratio(table, reference, exact.power_table_bound(_EXACT_DEGREE))
@@ -464,11 +464,11 @@ def test_power_table_rows_do_not_depend_on_degree(count):
     # rows agree within the power-table bound.
     for phi in (involution(0.3 + 0.4j), hyperbolic_model(0.5), _DYADIC_MAPS["contraction-0.9"]):
         full = power_table(phi, count, 200)
-        tallest_short = power_table(phi, count, max(count // 2 - 1, 0))
+        tallest_short = power_table(phi, count, max(count // 3 - 1, 0))
         bound = float(exact.power_table_bound(200)) * np.max(np.abs(full))
         for degree in (0, 1, 2, 7, 31, 64, 199):
             table = power_table(phi, count, degree)
-            if 2 * (degree + 1) <= count:  # filled row by row
+            if 3 * (degree + 1) <= count:  # filled row by row
                 assert table.tobytes() == tallest_short[: degree + 1].tobytes()
                 assert np.max(np.abs(table - full[: degree + 1])) <= bound
             else:

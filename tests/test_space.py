@@ -158,6 +158,19 @@ def test_kernel_coefficient_is_conjugate_power_over_weight():
             np.testing.assert_allclose(k.coeffs[n], expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.5, 2.5, 7.25])
+def test_kernel_coefficient_parts_are_correctly_rounded_quotients(beta):
+    # Each part is the float numerator's part over the float weight, rounded
+    # once: a complex division by a real array rounds twice, through 1/w(n).
+    w = weights(SpaceParams(beta), 64)
+    for alpha in (0.3 + 0.7j, -0.45 - 0.6j):
+        k = kernel_series(SpaceParams(beta), alpha, 64)
+        numerators = np.conj(alpha) ** np.arange(65)
+        for n in range(65):
+            parts = [float(Fraction(x) / Fraction(w[n])) for x in (numerators[n].real, numerators[n].imag)]
+            assert [k.coeffs[n].real, k.coeffs[n].imag] == parts, (alpha, n)
+
+
 def test_kernel_reproduces_squared_monomial():
     z2 = TruncatedSeries([0.0, 0.0, 1.0])
     for beta in (-1.0, 0.0, 1.7):
