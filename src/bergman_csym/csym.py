@@ -42,7 +42,7 @@ from .errors import (
 from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, power_table
 from .operators import OperatorMatrix, _binomial_alpha_weights, _exact_beta, _owned_square
 from .series import TruncatedSeries
-from .space import SpaceParams, _divided_by_weights, inner_product, kernel_series, weights
+from .space import SpaceParams, _divided_by_weights, _divisor_weights, inner_product, kernel_series, weights
 
 __all__ = [
     "ConjugationMatrix",
@@ -146,30 +146,36 @@ def adjoint_monomial(
 ) -> TruncatedSeries:
     """The adjoint image of ``z**n`` under composition with the involution at ``alpha``, any ``beta``.
 
-    Row ``n`` of :func:`_adjoint_images`, read off a table of ``n + 1`` rows
-    of the involution's powers.  It stays within the power-table bound of
-    the exact image up to |alpha| = 0.984 (D = 48), where the finite adjoint
-    formula of :func:`~bergman_csym.operators.involution_adjoint_apply`
-    reaches 20 times that bound at beta = 2.  ``n = 0`` returns the
-    truncated reproducing kernel at ``alpha``.
+    Row ``n`` of :func:`_adjoint_images`, read off a table of ``n + 1`` rows of the
+    involution's powers and divided by ``sqrt(w)`` part by part.  It stays within the
+    power-table bound of the exact image up to |alpha| = 0.984 (D = 48), where the finite
+    adjoint formula of :func:`~bergman_csym.operators.involution_adjoint_apply` reaches 20
+    times that bound at beta = 2.  ``n = 0`` returns the truncated reproducing kernel at
+    ``alpha``.
     """
     if not 0 <= n <= degree:
         raise InvalidInputError(f"monomial degree {n} outside [0, {degree}]")
-    return TruncatedSeries(_adjoint_images(params, alpha, n + 1, degree)[n])
+    coords = _adjoint_images(params, alpha, n + 1, degree)[n]
+    return TruncatedSeries(_divided_by_weights(params, degree, coords, root=True))
 
 
 def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int) -> np.ndarray:
-    """Coefficients of the adjoint images of ``z**0..z**(count-1)``, as rows.
+    """Orthonormal coordinates of the adjoint images of ``z**0..z**(count-1)``, as rows.
 
-    Since ``<C* z**n, z**m> = <z**n, phi**m>``, coefficient m of row n is
-    ``w(n) conj(T[n, m]) / w(m)``, read off ``count`` rows of the
-    involution's power table ``T`` (within the power-table bound of the
-    square table's rows; see :func:`~bergman_csym.series.mobius_powers`).
+    Coefficient m of image n is ``w(n) conj(T[n, m]) / w(m)`` for the first ``count`` rows
+    ``T`` of the involution's power table (within the power-table bound of the square table's
+    rows; see :func:`~bergman_csym.series.mobius_powers`), and its coordinate is that times
+    ``sqrt(w(m))``.  The weights enter by square roots, as in the composition matrix: a product
+    ``w(n) T[n, m]`` keeps only a few ulps where ``w(n)`` is subnormal (1e-323 at n = 233,
+    beta = 2000.5).
     """
+    sqrtw = np.sqrt(_divisor_weights(params, degree))
     rows = power_table(involution(alpha), degree + 1, count - 1)
+    rows *= sqrtw[:count, None]
+    rows /= sqrtw
     np.conjugate(rows, out=rows)
-    rows *= weights(params, count - 1)[:, None]
-    return _divided_by_weights(params, degree, rows)
+    rows *= sqrtw[:count, None]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -281,10 +287,10 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
 def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) -> GramTable:
     """Gram table via the truncated matrix route, any ``beta``.
 
-    Entry (n, m) is the weighted product ``sum_k w(k) v_n[k] conj(v_m[k])``
-    of the truncated adjoint images (:func:`_adjoint_images`), one matrix
-    product ``(V w) V^H``.  Converges to the exact table as ``degree`` grows
-    and serves as the independent oracle for it.
+    Entry (n, m) is ``sum_k w(k) v_n[k] conj(v_m[k])``, one product ``X X^H`` of the
+    coordinate rows of :func:`_adjoint_images`; it forms no coefficient ``v_n[k]``, which
+    can overflow where the entry does not.  Converges to the exact table as ``degree``
+    grows and serves as the independent oracle for it.
     """
     alpha = complex(alpha)
     if size < 1:
@@ -292,7 +298,7 @@ def gram_truncated(params: SpaceParams, alpha: complex, size: int, degree: int) 
     if size - 1 > degree:
         raise InvalidInputError(f"size {size} needs degree >= {size - 1}")
     rows = _adjoint_images(params, alpha, size, degree)
-    entries = (rows * weights(params, degree)) @ rows.conj().T
+    entries = rows @ rows.conj().T
     entries.flags.writeable = False
     return GramTable(params.beta, alpha, entries)
 

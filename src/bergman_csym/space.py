@@ -94,32 +94,35 @@ def _divisor_weights(params: SpaceParams, n_max: int) -> np.ndarray:
     return w
 
 
-def _divided_by_weights(params: SpaceParams, n_max: int, values=1.0, cumulative: bool = False) -> np.ndarray:
-    """``values[..., n] / w(n)`` for ``n = 0..n_max`` along the last axis, or their partial sums.
+def _divided_by_weights(
+    params: SpaceParams, n_max: int, values=1.0, cumulative: bool = False, root: bool = False
+) -> np.ndarray:
+    """``values[..., n] / w(n)``, or ``/ sqrt(w(n))`` with ``root``, for ``n = 0..n_max``, or partial sums.
 
-    A complex numerator is divided part by part, so each part is correctly
-    rounded: numpy divides complex by real through the rounded reciprocal
-    ``1/w(n)``, which puts a part one ulp off for about 44% of random
-    quotients and overflows at a subnormal weight where the quotient need
-    not.  ``InvalidInputError`` names the first ``n`` whose quotient leaves
+    A complex numerator is divided part by part, so each part is correctly rounded: numpy
+    divides complex by real through the rounded reciprocal, which puts a part one ulp off
+    for about 44% of random quotients and overflows at a subnormal weight where the
+    quotient need not.  ``InvalidInputError`` names the first ``n`` whose quotient leaves
     the double range, in any row.
     """
     w = _divisor_weights(params, n_max)
+    divisors = np.sqrt(w) if root else w
     values = np.asarray(values)
     with np.errstate(over="ignore", invalid="ignore"):
         if np.iscomplexobj(values):
             out = np.empty(values.shape, dtype=np.complex128)
-            np.divide(values.real, w, out=out.real)
-            np.divide(values.imag, w, out=out.imag)
+            np.divide(values.real, divisors, out=out.real)
+            np.divide(values.imag, divisors, out=out.imag)
         else:
-            out = values / w
+            out = values / divisors
         if cumulative:
             out = np.cumsum(out)
     finite = np.isfinite(out).reshape(-1, w.size).all(axis=0)
     if not finite.all():
         n = int(np.argmin(finite))
+        divisor = f"sqrt(w({n}))" if root else f"w({n})"
         raise InvalidInputError(
-            f"a division by w({n}) = {w[n]:.3g} leaves the double range at beta = {params.beta}"
+            f"a division by {divisor} = {divisors[n]:.3g} leaves the double range at beta = {params.beta}"
         )
     return out
 

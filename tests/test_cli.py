@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bergman_csym import (
     gram_exact,
     rotation,
     to_series,
+    weights,
 )
 
 
@@ -201,6 +203,16 @@ def test_gram_near_the_beta_bound_prints_no_warning(capsys):
     doc = payload(capsys, ["gram", "--beta", "1020", "--alpha", "0.5", "--n", "4"])
     assert doc["max_out_of_band"] == 0
     assert 0 < doc["max_in_band"] < 1e128
+
+
+def test_gram_at_subnormal_weights_keeps_the_double_range(capsys):
+    # At beta = 2000.5 the kernel coefficient 0.9**229 / w(229) overflows, yet
+    # G[0, 0] = sum_k 0.81**k / w(k), the squared norm of the truncated kernel
+    # at 0.9, is a double.
+    doc = payload(capsys, ["gram", "--beta", "2000.5", "--alpha", "0.9", "--n", "3", "--dim", "234"])
+    w = weights(SpaceParams(2000.5), 233)
+    expected = sum(Fraction(0.9) ** (2 * k) / Fraction(x) for k, x in enumerate(w))
+    np.testing.assert_allclose(as_complex(doc["entries"][0]), float(expected), rtol=1e-13)
 
 
 def test_gram_noninteger_beta_needs_dimension(capsys):

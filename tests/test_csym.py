@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,6 +306,56 @@ def test_noninteger_adjoint_monomial_equals_the_matrix_route(beta):
                 reference = from_coords(params, cmat.conj().T @ coords).coeffs
                 got = adjoint_monomial(params, alpha, n, degree).coeffs
                 assert np.all(np.abs(got - reference) <= bound * w[n] / w)
+
+
+# At beta = 2000.5 the weights w(219), ..., w(233) are subnormal; w(233) =
+# 1e-323 is two ulps.  The adjoint images and their Gram entries are still
+# doubles, so no step may form a product w(n) T[n, m], which keeps only those
+# few ulps.  References are exact for the float power table and the float
+# weights the library holds.
+_SUBNORMAL = SpaceParams(2000.5)
+
+
+@pytest.mark.parametrize("n", [219, 233])
+def test_adjoint_monomial_at_subnormal_weights(n):
+    # Coefficient m is w(n) conj(T[n, m]) / w(m): two rounded square roots,
+    # each used twice, and four products or quotients put it within 8u of
+    # that, plus two roundings below the normal range, the first magnified
+    # by the last division, by sqrt(w(m)).
+    degree = 233
+    w = weights(_SUBNORMAL, degree)
+    for alpha in (0.5 + 0.25j, 0.9, -0.3j, -0.95 + 0.1j):
+        row = power_table(involution(alpha), degree + 1, n)[n]
+        got = adjoint_monomial(_SUBNORMAL, alpha, n, degree).coeffs
+        for m in range(degree + 1):
+            ratio = Fraction(w[n]) / Fraction(w[m])
+            re, im = Fraction(row[m].real) * ratio, -Fraction(row[m].imag) * ratio
+            err = math.hypot(Fraction(got[m].real) - re, Fraction(got[m].imag) - im)
+            floor = 2.0**-1074 / math.sqrt(w[m])
+            assert err <= 8 * 2.0**-53 * math.hypot(re, im) + floor, (alpha, m)
+
+
+def test_gram_truncated_at_subnormal_weights():
+    # G[n, m] = w(n) w(m) sum_k conj(T[n, k]) T[m, k] / w(k), within the
+    # rounding that _gram_perturbation allows for, plus half an ulp below the
+    # normal range for each of the degree + 1 products and sums.
+    degree = 233
+    w = [Fraction(x) for x in weights(_SUBNORMAL, degree)]
+    slack = 2 * exact.gamma(degree + 7)
+    floor = (degree + 1) * 2.0**-1074
+    for alpha in (0.9, 0.5 + 0.25j, -0.3j):
+        table = power_table(involution(alpha), degree + 1, degree)
+        got = gram_truncated(_SUBNORMAL, alpha, degree + 1, degree).entries
+        for n, m in ((0, 0), (3, 0), (219, 0), (219, 219), (233, 2), (233, 219)):
+            re = im = size = Fraction(0)
+            for k in range(degree + 1):
+                ar, ai = Fraction(table[n, k].real), -Fraction(table[n, k].imag)
+                br, bi = Fraction(table[m, k].real), Fraction(table[m, k].imag)
+                tr, ti = (ar * br - ai * bi) / w[k], (ar * bi + ai * br) / w[k]
+                re, im, size = re + tr, im + ti, size + abs(tr) + abs(ti)
+            scale = w[n] * w[m]
+            err = math.hypot(Fraction(got[n, m].real) - re * scale, Fraction(got[n, m].imag) - im * scale)
+            assert err <= slack * size * scale + floor, (alpha, n, m)
 
 
 # --- exact Gram tables -------------------------------------------------
