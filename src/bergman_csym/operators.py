@@ -42,7 +42,7 @@ from .errors import (
 )
 from .lft import Lft, involution, make, power_table, to_series
 from .series import TruncatedSeries, binomial_expand, compose, mul, powers
-from .space import SpaceParams, _divisor_weights, kernel_series, weights
+from .space import SpaceParams, _divided_by_weights, _divisor_weights, kernel_series, weights
 
 __all__ = [
     "OperatorMatrix",
@@ -102,8 +102,7 @@ def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
 def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
     """Series whose orthonormal coordinates are ``vec``."""
     vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    w = _divisor_weights(params, vec.size - 1)
-    return TruncatedSeries(vec / np.sqrt(w))
+    return TruncatedSeries(_divided_by_weights(params, vec.size - 1, vec, root=True))
 
 
 def _series_symbol(f: TruncatedSeries, degree: int) -> TruncatedSeries:

@@ -595,6 +595,9 @@ _ZERO_WEIGHT = r"w\(234\) underflows to 0 at beta = 2000.5"
 # does, 0.9**229 / w(229) = 3.2e308.
 _SUBNORMAL_WEIGHT = r"a division by w\(219\) = 9.41e-310 leaves the double range at beta = 2000.5"
 _KERNEL_OVERFLOW = r"a division by w\(229\) = 1.02e-319 leaves the double range at beta = 2000.5"
+# Coordinates become coefficients through a division by sqrt(w(n)).
+_COORDS_OVERFLOW = r"a division by sqrt\(w\(227\)\) = 3.12e-159 leaves the double range at beta = 2000.5"
+_IMAGE_OVERFLOW = r"a division by sqrt\(w\(229\)\) = 3.2e-160 leaves the double range at beta = 2000.5"
 
 
 @pytest.mark.parametrize(
@@ -608,10 +611,12 @@ _KERNEL_OVERFLOW = r"a division by w\(229\) = 1.02e-319 leaves the double range 
         (lambda: weight_reciprocal_sums(_UNDERFLOW, 599), _ZERO_WEIGHT),
         (lambda: kernel_series(_UNDERFLOW, 0.9, 233), _KERNEL_OVERFLOW),
         (lambda: weight_reciprocal_sums(_UNDERFLOW, 233), _SUBNORMAL_WEIGHT),
+        (lambda: from_coords(_UNDERFLOW, np.full(234, 1e150)), _COORDS_OVERFLOW),
+        (lambda: adjoint_monomial(_UNDERFLOW, 0.9, 0, 233), _IMAGE_OVERFLOW),
     ],
     ids=["composition_matrix", "multiplication_matrix", "from_coords", "kernel_series",
          "adjoint_monomial", "weight_reciprocal_sums", "kernel_series-overflow",
-         "weight_reciprocal_sums-overflow"],
+         "weight_reciprocal_sums-overflow", "from_coords-overflow", "adjoint_monomial-overflow"],
 )
 def test_division_by_an_underflowed_weight_is_invalid_input(call, match):
     with pytest.raises(InvalidInputError, match=match):
