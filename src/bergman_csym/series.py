@@ -10,8 +10,9 @@ degree D, and composition is Horner evaluation over truncated powers, which
 is valid even when the inner series has a nonzero constant term.  The power
 table of a general series costs one convolution per power, O(D**3) for D
 powers; that of a fractional linear map comes from a recurrence with O(1)
-work per entry, O(D**2) in all, run over small square tiles so that the
-Python loop takes one step per diagonal of tiles (:func:`mobius_powers`).
+work per entry, O(D**2) in all, run row by row by a doubling scan while the
+rows are few and over small square tiles otherwise, so that the Python loop
+takes one step per row or per diagonal of tiles (:func:`mobius_powers`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ def _require_finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require_sizes(**sizes: int) -> None:
+    """``InvalidInputError`` unless every size passed by name is nonnegative."""
+    for name, size in sizes.items():
+        if size < 0:
+            raise InvalidInputError(f"{name} must be nonnegative, got {size}")
+
+
 class TruncatedSeries:
     """Maclaurin coefficients of a function, kept up to a fixed degree.
 
@@ -60,6 +68,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, degree: int) -> "TruncatedSeries":
+        _require_sizes(degree=degree)
         arr = np.zeros(degree + 1, dtype=np.complex128)
         arr[0] = value
         return cls(arr)
@@ -82,8 +91,7 @@ class TruncatedSeries:
 
     def resized(self, degree: int) -> "TruncatedSeries":
         """Copy with the coefficient array padded or cut to the new degree."""
-        if degree < 0:
-            raise InvalidInputError(f"degree must be nonnegative, got {degree}")
+        _require_sizes(degree=degree)
         if degree == self.degree:
             return self
         arr = np.zeros(degree + 1, dtype=np.complex128)
@@ -144,6 +152,7 @@ def powers(g: TruncatedSeries, count: int, degree: int) -> np.ndarray:
     is checked for finiteness once, which rejects what a check per power
     would: see :func:`compose`.
     """
+    _require_sizes(count=count, degree=degree)
     table = np.zeros((degree + 1, count), dtype=np.complex128)
     table[0, :1] = 1.0
     for j in range(1, count):
@@ -161,15 +170,12 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
 
     O(1) work per entry, against O(D) for a convolution.  Errors are damped
     by ``|c/d| < 1`` and ``|b/d| < 1``, which hold for every self-map.  The
-    table is filled one of three ways, chosen by its shape:
+    table is filled one of two ways, chosen by its shape:
 
-    - a short table, ``3 (degree + 1) <= count``, row by row: row n is the
-      first-order recurrence ``y[j] = (b/d) y[j-1] + u[j]`` in j, with
-      ``u[j] = (a T[n-1, j-1] - c T[n-1, j]) / d`` and ``u[0] = 0``, solved
-      by the doubling scan ``y[s:] += (b/d)**s y[:-s]`` for s = 1, 2, 4, ...
-      (Hillis and Steele), ceil(log2 count) vector steps per row;
-    - a table of one tile, at most ``_TILE`` rows and ``_TILE + 1``
-      columns, by the recurrence alone, one anti-diagonal at a time;
+    - a table of few rows, ``degree < _TILE`` or ``3 (degree + 1) <= count``,
+      row by row, each row by a doubling scan (:func:`_fill_rows`): row 0
+      from a zero row -1 and ``T[0, 0] = 1``, then each row from the one
+      above it;
     - any other table over ``_TILE x _TILE`` tiles (:func:`_fill_tiles`):
       one Python step per diagonal of tiles, the tile interiors by matrix
       products (Blelloch's blocking of linear recurrences, in two
@@ -178,85 +184,68 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
     The scan pays off only while the rows are few: from about
     ``count / 3`` rows on, the ``log2 count`` steps per row cost more than
     the tiles.  Within one fill entry ``(n, j)`` depends only on rows up to
-    ``n``, so row n does not depend on ``degree``.  That holds bitwise
-    across the tiles and the one-tile fill, whose table is the tiled fill's
-    response to ``T[0, 0]``; the row scan agrees with the other two within
-    the power-table bound, not bitwise.  The table is checked for finiteness
-    once, as in :func:`powers`.
+    ``n``, so row n does not depend on ``degree``: bitwise, the rows of a
+    scan-filled table are those of the tallest scan-filled table of the
+    same ``count``, and the rows of a tiled table those of any taller one.
+    Across the two fills rows agree within the power-table bound, not
+    bitwise.  The table is checked for finiteness once, as in
+    :func:`powers`.
     """
+    _require_sizes(count=count, degree=degree)
     a, b, c, d = (complex(t) for t in (a, b, c, d))
     if d == 0:
         raise DegenerateDenominatorError("cannot expand 1/(c*z + d) with d = 0")
-    table = np.zeros((degree + 1, count), dtype=np.complex128)
+    scan = degree < _TILE or 3 * (degree + 1) <= count
+    # The scan reads a zero row -1 above the table.  The tiles keep theirs in
+    # the boundary store, and their table is no view: a large table is then
+    # handed to an OperatorMatrix without a copy.
+    grid = np.zeros((degree + 1 + scan, count), dtype=np.complex128)
+    table = grid[1:] if scan else grid
     table[0, :1] = 1.0
     if count < 2:
         return table
-    if 3 * (degree + 1) <= count:
-        fill = _fill_rows
-    elif degree < _TILE and count <= _TILE + 1:
-        fill = _fill_whole
-    else:
-        fill = _fill_tiles
     # Overflow is rejected after the fill, where every entry has been stored.
     with np.errstate(over="ignore", invalid="ignore"):
-        fill(table, a, b, c, d)
+        if scan:
+            _fill_rows(grid, a, b, c, d)
+        else:
+            _fill_tiles(table, a, b, c, d)
     return _require_finite(table)
 
 
-def _fill_rows(table: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
-    """Fill a power table whose row 0 is set, row by row, each row by a doubling scan in j."""
-    count = table.shape[1]
-    # (s, (b/d)**s) for s = 1, 2, 4, ... below count, by repeated squaring.
-    steps, s, ratio = [], 1, np.complex128(b) / d
-    while s < count:
-        steps.append((s, ratio))
-        s, ratio = 2 * s, ratio * ratio
-    tmp = np.empty(count - 1, dtype=np.complex128)
-    for n, y in enumerate(table):
-        if n:  # u, from the row above; u[0] = 0 is already in place
-            np.multiply(table[n - 1, :-1], a, out=y[1:])
-            np.multiply(table[n - 1, 1:], c, out=tmp)
-            np.subtract(y[1:], tmp, out=y[1:])
-            np.divide(y[1:], d, out=y[1:])
-        for s, ratio in steps:
-            np.multiply(y[:-s], ratio, out=tmp[: count - s])
-            np.add(y[s:], tmp[: count - s], out=y[s:])
-
-
-# The edge of the square tiles that a table larger than one tile is filled over.
-_TILE = 8
-
-
-def _fill_grid(grid: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
-    """Run the recurrence over a grid of shape ``(rows, cols, ...)``, one anti-diagonal at a time.
+def _fill_rows(grid: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
+    """Run the recurrence over a grid of shape ``(rows, cols, ...)``, row by row.
 
     Row 0 and column 0 hold the boundary, row -1 and column -1 of the block
     the rest covers, with the corner at ``[0, 0]``; the rest is filled.
     Trailing axes ride along, so one call fills a tile from many boundaries.
-    An anti-diagonal is a strided slice of the flattened grid.  Each one is
-    computed into fresh arrays and then stored: numpy rounds a complex
-    product differently when its output overlaps an input, and an entry must
-    come out bitwise the same whatever the trailing axes are.
+    Row n is the first-order recurrence ``y[j] = (b/d) y[j-1] + u[j]`` in j,
+    with ``u[j] = (a y'[j-1] - c y'[j]) / d`` for j >= 1 and the row y'
+    above it, from its boundary ``y[0]``, solved by the doubling scan
+    ``y[s:] += (b/d)**s y[:-s]`` for s = 1, 2, 4, ... (Hillis and Steele):
+    ceil(log2 cols) vector steps per row.
     """
-    rows, cols = grid.shape[:2]
-    flat = grid.reshape(rows * cols, *grid.shape[2:])
-    step = cols - 1
-    for s in range(2, rows + cols - 1):  # s = n + j over the grid, n, j >= 1
-        lo, hi = max(1, s - step), min(rows - 1, s - 1)
-        first, last = s + lo * step, s + hi * step + 1
-        new = b * flat[first - 1 : last - 1 : step]
-        new += a * flat[first - cols - 1 : last - cols - 1 : step]
-        new -= c * flat[first - cols : last - cols : step]
-        new /= d
-        flat[first:last:step] = new
+    cols = grid.shape[1]
+    # (s, (b/d)**s) for s = 1, 2, 4, ... below cols, by repeated squaring.
+    steps, s, ratio = [], 1, np.complex128(b) / d
+    while s < cols:
+        steps.append((s, ratio))
+        s, ratio = 2 * s, ratio * ratio
+    tmp = np.empty_like(grid[0, 1:])
+    for above, y in zip(grid[:-1], grid[1:]):
+        np.multiply(above[:-1], a, out=y[1:])
+        np.multiply(above[1:], c, out=tmp)
+        np.subtract(y[1:], tmp, out=y[1:])
+        np.divide(y[1:], d, out=y[1:])
+        for s, ratio in steps:
+            np.multiply(y[:-s], ratio, out=tmp[: cols - s])
+            np.add(y[s:], tmp[: cols - s], out=y[s:])
 
 
-def _fill_whole(table: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
-    """Fill a power table whose row 0 is set by the recurrence alone, one anti-diagonal at a time."""
-    grid = np.zeros((table.shape[0] + 1, table.shape[1]), dtype=np.complex128)
-    grid[1, 0] = 1.0  # T[0, 0]; row -1 and the rest of column 0 are zero
-    _fill_grid(grid, a, b, c, d)
-    table[:, 1:] = grid[1:, 1:]
+# The edge of the square tiles of _fill_tiles.  A table of at most _TILE
+# rows is scanned whatever its count: it is one tile row, which the scan
+# fills in fewer Python steps than the tiles take.
+_TILE = 8
 
 
 def _tile_response(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
@@ -272,12 +261,12 @@ def _tile_response(a: complex, b: complex, c: complex, d: complex) -> np.ndarray
     grid[0, k + 1, k] = 1.0
     grid[0, 0, _TILE] = 1.0
     grid[k + 1, 0, _TILE + 1 + k] = 1.0
-    _fill_grid(grid, a, b, c, d)
+    _fill_rows(grid, a, b, c, d)
     return grid[1:, 1:]
 
 
 def _fill_tiles(table: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
-    """Fill a power table whose row 0 is set over ``_TILE x _TILE`` tiles.
+    """Fill a power table of more than ``_TILE`` rows, ``T[0, 0]`` set, over ``_TILE x _TILE`` tiles.
 
     Tile ``(I, J)`` covers rows ``I B ..`` and columns ``1 + J B ..`` (B is
     ``_TILE``); column 0 and the zero row -1 bound the table.  The
@@ -290,19 +279,15 @@ def _fill_tiles(table: np.ndarray, a: complex, b: complex, c: complex, d: comple
     matrix product per in-tile row n fills rows n, n + B, ... of the table
     from the boundaries and ``R[n]``.
 
-    About (degree + count)/B Python steps, against degree + count for the
-    anti-diagonals of the whole table.  Memory is the table plus the store,
+    About (degree + count)/B Python steps, against about 2 log2(count) per
+    row for the row scan.  Memory is the table plus the store,
     ``(2B + 1)/B**2`` of it (0.27 at B = 8), plus a ``1/B`` share for the
     products of one in-tile row.
     """
     rows, count = table.shape
     response = _tile_response(a, b, c, d)
     edges = np.concatenate((response[:, -1], response[-1])).T  # right column, bottom row
-    # Two tile rows at least: numpy multiplies a single row through gemv,
-    # which rounds differently from the gemm of a longer diagonal, and a row
-    # of the table must not depend on how many tile rows follow it.
-    covered_rows = -(-rows // _TILE)  # tile rows that hold table rows
-    tile_rows = max(2, covered_rows)
+    tile_rows = -(-rows // _TILE)
     tile_cols = -(-(count - 1) // _TILE)
     # Tile (I, J) is row I (tile_cols + 1) + J of the store, so one tile
     # diagonal has stride tile_cols.  The last tile row and column only
@@ -317,8 +302,8 @@ def _fill_tiles(table: np.ndarray, a: complex, b: complex, c: complex, d: comple
         store[first + 1 : last + 1 : stride, _TILE + 1 :] = out[:, :_TILE]  # left of (I, J + 1)
         store[first + stride + 1 : last + stride + 1 : stride, :_TILE] = out[:, _TILE:]  # top of (I + 1, J)
         store[first + stride + 2 : last + stride + 2 : stride, _TILE] = out[:, -1]  # corner of (I + 1, J + 1)
-    inner = np.empty((covered_rows * (tile_cols + 1), _TILE), dtype=np.complex128)
-    for n in range(min(_TILE, rows)):
+    inner = np.empty((tile_rows * (tile_cols + 1), _TILE), dtype=np.complex128)
+    for n in range(_TILE):
         # Row n of a tile reads the left column down to row n only.
         k, m = _TILE + 2 + n, len(range(n, rows, _TILE)) * (tile_cols + 1)
         np.matmul(store[:m, :k], response[n, :, :k].T, out=inner[:m])
@@ -337,6 +322,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSer
     entry i of a product with ``g`` includes entry i times the finite
     ``g[0]``, so a non-finite entry stays non-finite in every later step.
     """
+    _require_sizes(degree=degree)
     nonzero = np.flatnonzero(f.coeffs)
     top = int(nonzero[-1]) if nonzero.size else 0
     acc = np.zeros(degree + 1, dtype=np.complex128)
@@ -354,8 +340,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSer
 
 def reciprocal_linear(c, d, degree: int) -> TruncatedSeries:
     """Expansion of ``1/(c*z + d)``: coefficient n equals ``(-c/d)**n / d``."""
-    if degree < 0:
-        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
+    _require_sizes(degree=degree)
     if d == 0:
         raise DegenerateDenominatorError("cannot expand 1/(c*z + d) with d = 0")
     ratio = -complex(c) / complex(d)
@@ -371,8 +356,7 @@ def binomial_expand(u, p, degree: int) -> TruncatedSeries:
     The recurrence, not a gamma-function quotient, is what keeps integer ``p``
     exact: past ``n = p`` every factor is exactly zero.
     """
-    if degree < 0:
-        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
+    _require_sizes(degree=degree)
     u = complex(u)
     coeffs = np.empty(degree + 1, dtype=np.complex128)
     coeffs[0] = 1.0

@@ -46,6 +46,7 @@ from bergman_csym import (
 )
 from bergman_csym.lft import power_table
 from bergman_csym.operators import _binomial_alpha_weights, _cowen_sum
+from bergman_csym.series import _TILE
 from bergman_csym.space import _divided_by_weights
 import exact
 from helpers import kernel_check_map, random_poly, random_self_map
@@ -390,6 +391,18 @@ def test_composition_matrix_of_a_map_is_its_scaled_power_table(beta, degree):
         expected = np.empty_like(scaled)
         expected.real, expected.imag = scaled.real / sqrtw, scaled.imag / sqrtw
         assert composition_matrix(phi, params, degree).mat.tobytes() == expected.tobytes(), phi
+
+
+@pytest.mark.parametrize("beta", [-1, 0, 1, 2.5])
+def test_matrices_of_one_tile_are_blocks_of_a_larger_matrix(beta):
+    # The blocks of verify_hurst and `matrix --dim` up to 8 are bitwise those of
+    # larger matrices, although their tables are scanned and the larger ones tiled.
+    params = SpaceParams(beta)
+    for phi in [*_LFT_SYMBOLS, rotation(np.exp(0.4j))]:
+        full = composition_matrix(phi, params, 40).mat
+        for degree in range(_TILE):
+            block = composition_matrix(phi, params, degree).mat
+            assert block.tobytes() == full[: degree + 1, : degree + 1].tobytes(), (phi, degree)
 
 
 @pytest.mark.parametrize("index", range(len(_LFT_SYMBOLS)))

@@ -29,7 +29,7 @@ from bergman_csym import (
     to_series,
 )
 from bergman_csym.lft import power_table
-from bergman_csym.series import _TILE, _fill_whole, mobius_powers, powers
+from bergman_csym.series import _TILE, _fill_rows, mobius_powers, powers
 import exact
 from helpers import horner_compose, kernel_check_map, power_loop
 
@@ -251,6 +251,30 @@ def test_bad_series_and_conjugations_are_invalid_input(call, message):
         call()
 
 
+_LINEAR = TruncatedSeries([0.5, 0.25])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mobius_powers(1.0, 0.0, 0.0, 1.0, -1, 3),
+        lambda: power_table(involution(0.5), -1, 3),
+        lambda: mobius_powers(1.0, 0.0, 0.0, 1.0, 3, -1),
+        lambda: powers(_LINEAR, -1, 3),
+        lambda: powers(_LINEAR, 3, -1),
+        lambda: compose(_LINEAR, _LINEAR, -1),
+        lambda: TruncatedSeries.constant(1.0, -1),
+        lambda: TruncatedSeries.one(-1),
+        lambda: TruncatedSeries.identity(-1),
+    ],
+    ids=["mobius-powers-count", "power-table-count", "mobius-powers-degree", "powers-count",
+         "powers-degree", "compose-degree", "constant-degree", "one-degree", "identity-degree"],
+)
+def test_negative_sizes_are_invalid_input(call):
+    with pytest.raises(InvalidInputError, match=r"must be nonnegative, got -1|outside \[0, -1\]"):
+        call()
+
+
 def test_loops_build_one_series_per_result(monkeypatch):
     built = []
     init = TruncatedSeries.__init__
@@ -465,12 +489,12 @@ def test_power_table_rows_do_not_depend_on_degree(count):
     # rows agree within the power-table bound.
     for phi in (involution(0.3 + 0.4j), hyperbolic_model(0.5), _DYADIC_MAPS["contraction-0.9"]):
         full = power_table(phi, count, 200)
-        tallest_short = power_table(phi, count, max(count // 3 - 1, 0))
+        tallest_scanned = power_table(phi, count, max(count // 3 - 1, _TILE - 1))
         bound = float(exact.power_table_bound(200)) * np.max(np.abs(full))
         for degree in (0, 1, 2, 7, 31, 64, 199):
             table = power_table(phi, count, degree)
-            if 3 * (degree + 1) <= count:  # filled row by row
-                assert table.tobytes() == tallest_short[: degree + 1].tobytes()
+            if degree < _TILE or 3 * (degree + 1) <= count:  # filled row by row
+                assert table.tobytes() == tallest_scanned[: degree + 1].tobytes()
                 assert np.max(np.abs(table - full[: degree + 1])) <= bound
             else:
                 assert table.tobytes() == full[: degree + 1].tobytes()
@@ -496,15 +520,15 @@ def test_power_table_rejects_what_the_expansion_rejects():
         mobius_powers(1.0, 0.0, 1.0, 0.0, 3, 4)
 
 
-# --- the tiled fill against the routes it replaces -----------------------
+# --- the tiled fill against the row scan ----------------------------------
 
 
 def _whole_table(phi, count, degree):
-    """The power table by the recurrence run once over the whole table, anti-diagonal by anti-diagonal."""
-    table = np.zeros((degree + 1, count), dtype=np.complex128)
-    table[0, 0] = 1.0
-    _fill_whole(table, *(complex(t) for t in (phi.a, phi.b, phi.c, phi.d)))
-    return table
+    """The power table by the row scan run once over the whole table, below a zero row -1."""
+    grid = np.zeros((degree + 2, count), dtype=np.complex128)
+    grid[1, 0] = 1.0  # T[0, 0]; row -1 and the rest of column 0 are zero
+    _fill_rows(grid, *(complex(t) for t in (phi.a, phi.b, phi.c, phi.d)))
+    return grid[1:]
 
 
 _rng_tiles = np.random.default_rng(14)
@@ -525,14 +549,15 @@ def test_tiled_table_within_bound_of_whole_table_recurrence(name, degree):
     assert np.max(np.abs(table - reference)) <= bound
     if name == "rotation":  # phi**j = (e^{0.4i} z)**j: the zeros are exact on both routes
         assert not np.any(table - np.diag(np.diag(table)))
+        assert not np.any(reference - np.diag(np.diag(reference)))
 
 
 @pytest.mark.parametrize("cols", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
 @pytest.mark.parametrize("rows", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
 def test_partial_tile_and_tall_tables_within_bound_of_exact(rows, cols):
     # rows = degree + 1 and cols = count - 1, the columns after column 0;
-    # rows > cols is a tall table, and a table of at most _TILE rows and
-    # columns is one tile.
+    # rows > cols is a tall table, and a table of at most _TILE rows is
+    # filled row by row.
     degree, count = rows - 1, cols + 1
     bound = exact.power_table_bound(max(degree, count - 1))
     for name, phi in sorted(_EXACT_MAPS.items()):
@@ -543,9 +568,14 @@ def test_partial_tile_and_tall_tables_within_bound_of_exact(rows, cols):
 
 @pytest.mark.parametrize("count", [10, 17, 23])
 def test_rows_of_a_table_one_tile_high_do_not_depend_on_degree(count):
-    # A table of at most _TILE rows and more columns than one tile holds is
-    # tiled, and its rows are bitwise those of a taller table.
+    # A table of at most _TILE rows is filled row by row whatever its count:
+    # its rows are bitwise those of the table of _TILE rows, and within the
+    # power-table bound of a tiled table.
     for phi in (involution(0.3 + 0.4j), hyperbolic_model(0.5), _DYADIC_MAPS["contraction-0.9"]):
-        full = power_table(phi, count, 40)
-        for degree in range(count // 3, _TILE):  # 3 (degree + 1) > count: not short
-            assert power_table(phi, count, degree).tobytes() == full[: degree + 1].tobytes()
+        scanned = power_table(phi, count, _TILE - 1)
+        tiled = power_table(phi, count, 40)
+        bound = float(exact.power_table_bound(40)) * np.max(np.abs(tiled))
+        for degree in range(_TILE):
+            table = power_table(phi, count, degree)
+            assert table.tobytes() == scanned[: degree + 1].tobytes()
+            assert np.max(np.abs(table - tiled[: degree + 1])) <= bound
