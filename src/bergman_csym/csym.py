@@ -40,12 +40,17 @@ from .errors import (
     require_in_disk,
 )
 from .lft import Lft, MapKind, classify, elliptic_order, fixed_points, involution, power_table
-from .operators import OperatorMatrix, _binomial_alpha_weights, _exact_beta, _owned_square
+from .operators import (
+    OperatorMatrix,
+    _binomial_alpha_weights,
+    _exact_beta,
+    _owned_square,
+    from_coords,
+)
 from .series import TruncatedSeries
 from .space import (
     SpaceParams,
     _divide_parts,
-    _divided_by_weights,
     _divisor_weights,
     inner_product,
     kernel_series,
@@ -119,8 +124,12 @@ def csym_residual(t: OperatorMatrix, c: ConjugationMatrix) -> float:
     """
     if t.dim != c.dim:
         raise DimMismatchError(f"operator dim {t.dim} != conjugation dim {c.dim}")
-    u = c.u
-    return float(np.linalg.norm(u @ np.conj(t.mat) @ u.conj().T - t.mat.conj().T))
+    return _residual(c.u, np.conj(t.mat), t.mat.conj().T)
+
+
+def _residual(u: np.ndarray, tbar: np.ndarray, s: np.ndarray) -> float:
+    """``|| U tbar U^H - s ||_F``; :func:`csym_residual` with ``tbar = conj(T)`` and ``s = T^H``."""
+    return float(np.linalg.norm(u @ tbar @ u.conj().T - s))
 
 
 def spectral_symmetry_check(t: OperatorMatrix, c: ConjugationMatrix, pairs) -> float:
@@ -163,8 +172,7 @@ def adjoint_monomial(
     """
     if not 0 <= n <= degree:
         raise InvalidInputError(f"monomial degree {n} outside [0, {degree}]")
-    coords = _adjoint_images(params, alpha, n + 1, degree)[n]
-    return TruncatedSeries(_divided_by_weights(params, degree, coords, root=True))
+    return from_coords(params, _adjoint_images(params, alpha, n + 1, degree)[n])
 
 
 def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int) -> np.ndarray:
@@ -484,9 +492,10 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     geometric ladder, keeping whichever projected candidate has the
     smallest residual.  Three deterministic starts are tried: the identity,
     the best least-squares intertwiner, and a seeded random symmetric
-    unitary; a stalled trajectory gets one random kick before being
-    abandoned.  The problem is nonconvex, so per-iteration residuals may
-    rise; only the recorded best-so-far trace is monotone, and that is the
+    unitary.  Each start runs until its first ladder step that does not
+    lower the residual, with no random kicks, or until its share of
+    ``iters`` is spent.  Residuals fall within a start but may rise at the
+    next; only the recorded best-so-far trace is monotone, and that is the
     only monotonicity callers should rely on.  Always returns the best
     candidate found.
     """
@@ -497,13 +506,13 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     tbar = np.conj(t.mat)
     # A symmetric matrix is packed as its upper triangle in row-major order.
     iu, ju = np.triu_indices(n)
-    # Intertwining map restricted to symmetric matrices, as a dense
-    # (n^2, n(n+1)/2) matrix in row-major vec coordinates: the column of a
-    # packed entry (i, j) is the sum of the full columns of (i, j) and (j, i).
-    lfull = np.kron(np.eye(n), s) - np.kron(s, np.eye(n))
-    bmat = lfull[:, iu * n + ju] + (iu != ju) * lfull[:, ju * n + iu]
-    amat = bmat.conj().T @ bmat
-    lam, vmat = np.linalg.eigh(amat)
+    # The intertwining map M -> M conj(T) - T^H M on the packed symmetric basis
+    # matrices E_ij + E_ji (E_ii on the diagonal), one row-major vec per row.
+    basis = np.zeros((iu.size, n, n), dtype=np.complex128)
+    basis[np.arange(iu.size), iu, ju] = 1.0
+    basis[np.arange(iu.size), ju, iu] = 1.0
+    rows = (basis @ tbar - s @ basis).reshape(iu.size, n * n)
+    lam, vmat = np.linalg.eigh(rows.conj() @ rows.T)
     lam = np.clip(lam, 0.0, None)
     mu_ref = max(float(np.mean(lam)), 1e-300)
     ladder = mu_ref * np.array([30.0, 10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-5])
@@ -514,51 +523,34 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
         m[ju, iu] = p
         return m
 
-    def resid(u):
-        return float(np.linalg.norm(u @ tbar @ u.conj().T - s))
-
     def ladder_step(u):
         coeffs = vmat.conj().T @ u[iu, ju]
         best = None
         for mu in ladder:
-            m = unpack(vmat @ (coeffs * (mu / (lam + mu))))
-            cand = _symmetric_polar((m + m.T) / 2.0)
-            r = resid(cand)
+            cand = _symmetric_polar(unpack(vmat @ (coeffs * (mu / (lam + mu)))))
+            r = _residual(cand, tbar, s)
             if best is None or r < best[0]:
                 best = (r, cand)
         return best
 
-    rng = np.random.default_rng(seed)
-    smallest = unpack(vmat[:, 0])
-    starts = [np.eye(n, dtype=np.complex128), _symmetric_polar(smallest)]
-    starts.append(_random_symmetric_unitary(rng, n))
-
-    residuals = []
-    best_trace = []
-    best_r = math.inf
-    best_u = starts[0]
+    starts = [np.eye(n, dtype=np.complex128), _symmetric_polar(unpack(vmat[:, 0]))]
+    starts.append(_random_symmetric_unitary(np.random.default_rng(seed), n))
+    residuals, best_trace = [], []
+    best_r, best_u = math.inf, starts[0]
     per_start = max(2, -(-iters // len(starts)))
-    spent = 0
     for u in starts:
-        cur = resid(u)
-        stall = 0
-        used = 0
-        while spent < iters and used < per_start:
-            spent += 1
-            used += 1
+        cur = _residual(u, tbar, s)
+        for _ in range(min(per_start, iters - len(residuals))):
             residuals.append(cur)
             if cur < best_r - 1e-16:
-                best_r, best_u = cur, u.copy()
+                best_r, best_u = cur, u
             best_trace.append(best_r)
-            if best_r < 1e-13 or stall >= 3:
+            if best_r < 1e-13:
                 break
             step_r, step_u = ladder_step(u)
-            if step_r < cur - 1e-15:
-                u, cur, stall = step_u, step_r, 0
-            else:
-                stall += 1
-                u = _symmetric_polar(u + 0.2 * _random_symmetric_unitary(rng, n))
-                cur = resid(u)
+            if not step_r < cur - 1e-15:
+                break
+            u, cur = step_u, step_r
         if best_r < 1e-13:
             break
     return SearchResult(

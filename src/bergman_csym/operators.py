@@ -41,7 +41,7 @@ from .errors import (
     require_in_disk,
 )
 from .lft import Lft, involution, make, power_table, to_series
-from .series import TruncatedSeries, binomial_expand, compose, mul, powers
+from .series import TruncatedSeries, _require_sizes, binomial_expand, compose, mul, powers
 from .space import (
     SpaceParams,
     _divide_parts,
@@ -99,6 +99,8 @@ class OperatorMatrix:
 
 def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
     """Coordinates of a series in the orthonormal basis, padded or cut to ``dim``."""
+    if dim < 1:
+        raise InvalidInputError(f"dim must be at least 1, got {dim}")
     w = weights(params, dim - 1)
     vec = np.zeros(dim, dtype=np.complex128)
     n = min(dim, f.coeffs.size)
@@ -109,6 +111,8 @@ def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
 def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
     """Series whose orthonormal coordinates are ``vec``."""
     vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    if vec.size == 0:
+        raise InvalidInputError("vec must hold at least one coordinate, got 0")
     return TruncatedSeries(_divided_by_weights(params, vec.size - 1, vec, root=True))
 
 
@@ -137,8 +141,7 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     O(D**3).  The table is rescaled in place, and divided by ``sqrt(w(j))``
     part by part, so each part is correctly rounded.
     """
-    if degree < 0:
-        raise InvalidInputError(f"degree must be nonnegative, got {degree}")
+    _require_sizes(degree=degree)
     if isinstance(symbol, Lft):
         table = power_table(symbol, degree + 1, degree)
     else:
@@ -157,6 +160,7 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     Exact on any ``f`` with ``deg f <= degree - deg psi``; beyond that the
     product would overflow the truncation and the top rows lose mass.
     """
+    _require_sizes(degree=degree)
     dim = degree + 1
     col = np.zeros(dim, dtype=np.complex128)
     n = min(dim, psi.coeffs.size)

@@ -142,6 +142,7 @@ class TruncatedSeries:
 
 def mul(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:
     """Cauchy product of two series, truncated at ``degree``."""
+    _require_sizes(degree=degree)
     return TruncatedSeries(np.convolve(f.coeffs, g.coeffs)[: degree + 1]).resized(degree)
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, require_in_disk
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _require_sizes
 
 __all__ = [
     "SpaceParams",
@@ -162,6 +162,7 @@ def kernel_series(params: SpaceParams, alpha: complex, degree: int) -> Truncated
     Requires ``|alpha| < 1``.
     """
     alpha = require_in_disk(alpha)
+    _require_sizes(degree=degree)
     powers = np.conj(alpha) ** np.arange(degree + 1)
     return TruncatedSeries(_divided_by_weights(params, degree, powers))
 

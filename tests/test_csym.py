@@ -855,8 +855,9 @@ def test_search_records_floor_on_generic_operator():
 
 
 def _search_with_loop_packing(t, iters, seed):
-    # Reference: the search with symmetric matrices packed and unpacked one
-    # upper-triangle entry at a time.
+    # Reference: the search with the intertwining map built from Kronecker
+    # products and symmetric matrices packed and unpacked one upper-triangle
+    # entry at a time.
     n = t.dim
     s = t.mat.conj().T
     tbar = np.conj(t.mat)
@@ -905,7 +906,7 @@ def _search_with_loop_packing(t, iters, seed):
     spent = 0
     for u in starts:
         cur = resid(u)
-        stall = used = 0
+        used = 0
         while spent < budget and used < per_start:
             spent += 1
             used += 1
@@ -913,26 +914,48 @@ def _search_with_loop_packing(t, iters, seed):
             if cur < best_r - 1e-16:
                 best_r, best_u = cur, u.copy()
             best_trace.append(best_r)
-            if best_r < 1e-13 or stall >= 3:
+            if best_r < 1e-13:
                 break
             step_r, step_u = ladder_step(u)
-            if step_r < cur - 1e-15:
-                u, cur, stall = step_u, step_r, 0
-            else:
-                stall += 1
-                u = _symmetric_polar(u + 0.2 * _random_symmetric_unitary(rng, n))
-                cur = resid(u)
+            if not step_r < cur - 1e-15:
+                break
+            u, cur = step_u, step_r
         if best_r < 1e-13:
             break
     return best_u, np.array(best_trace), np.array(residuals)
 
 
-@pytest.mark.parametrize("dim, iters", [(12, 30), (16, 30), (24, 8), (32, 5)])
-def test_search_index_packing_equals_loop_packing(dim, iters):
-    symbol = dilation_about(0.3 + 0.1j, np.exp(2j * np.pi / 7))
-    T = composition_matrix(symbol, SpaceParams(0), dim - 1)
+def _compression(symbol, beta):
+    return lambda dim: composition_matrix(symbol, SpaceParams(beta), dim - 1)
+
+
+def _generic_operator(dim):
+    rng = np.random.default_rng(9)
+    return OperatorMatrix(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), SpaceParams(0))
+
+
+_DILATION = _compression(dilation_about(0.3 + 0.1j, np.exp(2j * np.pi / 7)), 0)
+
+
+@pytest.mark.parametrize(
+    "make, dim, iters, stops_early",
+    [
+        pytest.param(_DILATION, 12, 30, False, id="12-30"),
+        pytest.param(_DILATION, 16, 30, False, id="16-30"),
+        pytest.param(_DILATION, 24, 8, False, id="24-8"),
+        pytest.param(_DILATION, 32, 5, False, id="32-5"),
+        pytest.param(_compression(involution(0.4 + 0.2j), 1), 12, 30, False, id="involution-beta1"),
+        pytest.param(_compression(hyperbolic_model(0.5), 0), 12, 30, False, id="hyperbolic"),
+        # A start ends at its first ladder step that does not lower the residual.
+        pytest.param(_generic_operator, 10, 200, True, id="generic"),
+    ],
+)
+def test_search_equals_kronecker_route_bitwise(make, dim, iters, stops_early):
+    T = make(dim)
     result = conjugation_search(T, iters=iters, seed=dim)
     u, best_trace, residuals = _search_with_loop_packing(T, iters, dim)
     assert result.conjugation.u.tobytes() == u.tobytes()
     assert result.best_trace.tobytes() == best_trace.tobytes()
     assert result.residuals.tobytes() == residuals.tobytes()
+    if stops_early:
+        assert len(residuals) < iters

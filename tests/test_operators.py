@@ -463,6 +463,27 @@ def test_negative_degree_is_invalid_input():
             build()
 
 
+_PSI = TruncatedSeries([1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplication_matrix(_PSI, SpaceParams(0), -1), "^degree must be nonnegative, got -1$"),
+        (lambda: kernel_series(SpaceParams(0), 0.5, -1), "^degree must be nonnegative, got -1$"),
+        (lambda: to_coords(SpaceParams(0), _PSI, -1), "^dim must be at least 1, got -1$"),
+        (lambda: to_coords(SpaceParams(0), _PSI, 0), "^dim must be at least 1, got 0$"),
+        (lambda: from_coords(SpaceParams(0), []), "^vec must hold at least one coordinate, got 0$"),
+        (lambda: mul(_PSI, _PSI, -1), "^degree must be nonnegative, got -1$"),
+    ],
+    ids=["multiplication_matrix", "kernel_series", "to_coords-negative", "to_coords-zero",
+         "from_coords-empty", "mul"],
+)
+def test_degenerate_sizes_name_the_callers_argument(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 # --- involution adjoint ------------------------------------------------
 
 
