@@ -492,18 +492,29 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
     geometric ladder, keeping whichever projected candidate has the
     smallest residual.  Three deterministic starts are tried: the identity,
     the best least-squares intertwiner, and a seeded random symmetric
-    unitary.  Each start runs until its first ladder step that does not
-    lower the residual, with no random kicks, or until its share of
-    ``iters`` is spent.  Residuals fall within a start but may rise at the
-    next; only the recorded best-so-far trace is monotone, and that is the
-    only monotonicity callers should rely on.  Always returns the best
-    candidate found.
+    unitary; an identity that already solves ``T`` (as for every rotation)
+    is returned before the dense set-up is built.  Each start runs until its
+    first ladder step that does not lower the residual, with no random
+    kicks, or until its share of ``iters`` is spent.  Residuals fall within
+    a start but may rise at the next; only the recorded best-so-far trace is
+    monotone, and that is the only monotonicity callers should rely on.
+    Always returns the best candidate found.
     """
     if iters < 1 or seed < 0:
         raise InvalidInputError(f"need iters >= 1 and seed >= 0, got iters={iters}, seed={seed}")
     n = t.dim
     s = t.mat.conj().T
     tbar = np.conj(t.mat)
+    identity = np.eye(n, dtype=np.complex128)
+    first = _residual(identity, tbar, s)
+    if first < 1e-13:
+        # The identity start solves T at its first iterate, as for every
+        # rotation: the set-up below and the other starts would go unused.
+        return SearchResult(
+            conjugation=ConjugationMatrix(identity),
+            best_trace=np.array([first]),
+            residuals=np.array([first]),
+        )
     # A symmetric matrix is packed as its upper triangle in row-major order.
     iu, ju = np.triu_indices(n)
     # The intertwining map M -> M conj(T) - T^H M on the packed symmetric basis
@@ -533,7 +544,7 @@ def conjugation_search(t: OperatorMatrix, iters: int = 60, seed: int = 0) -> Sea
                 best = (r, cand)
         return best
 
-    starts = [np.eye(n, dtype=np.complex128), _symmetric_polar(unpack(vmat[:, 0]))]
+    starts = [identity, _symmetric_polar(unpack(vmat[:, 0]))]
     starts.append(_random_symmetric_unitary(np.random.default_rng(seed), n))
     residuals, best_trace = [], []
     best_r, best_u = math.inf, starts[0]

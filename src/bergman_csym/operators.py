@@ -137,9 +137,12 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     a fractional linear map come from the O(1)-per-entry recurrence of
     :func:`~bergman_csym.lft.power_table`, O(D**2) in all, filled over small
     tiles whose boundaries take about 0.4 of the matrix's memory beside it
-    while they are built; those of a series from repeated convolution,
-    O(D**3).  The table is rescaled in place, and divided by ``sqrt(w(j))``
-    part by part, so each part is correctly rounded.
+    while they are built; those of a series cut to its degree g from
+    repeated convolution, O(D**2 g), one row-major row per power, so the
+    matrix of a series symbol is stored column-major.  The table is rescaled
+    in place, and divided by ``sqrt(w(j))`` part by part in one pass over its
+    float view (:func:`~bergman_csym.space._divide_parts`), so each part is
+    correctly rounded.
     """
     _require_sizes(degree=degree)
     if isinstance(symbol, Lft):
@@ -150,6 +153,10 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
     table *= sqrtw[:, None]
     _divide_parts(table, sqrtw, table)
+    # A table may be a view (a series table's transpose, a scanned table below
+    # its zero row); locking what it views lets OperatorMatrix keep it uncopied.
+    if table.base is not None:
+        table.base.flags.writeable = False
     table.flags.writeable = False
     return OperatorMatrix(table, params)
 

@@ -100,9 +100,18 @@ def _divide_parts(values: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> 
     Each part is correctly rounded: numpy divides complex by real through the rounded
     reciprocal, which puts a part one ulp off for about 44% of random quotients and overflows at
     a subnormal divisor where the quotient need not.  ``out`` may be ``values``.
+
+    Contiguous arrays are divided in one pass over their float64 views, each divisor repeated
+    for the two parts it divides; the two strided part-wise passes remain for other layouts.
+    A column-major table is the transpose of a row-major one, divided along its rows.
     """
-    np.divide(values.real, divisors, out=out.real)
-    np.divide(values.imag, divisors, out=out.imag)
+    if values.flags.c_contiguous and out.flags.c_contiguous:
+        np.divide(values.view(np.float64), divisors.repeat(2), out=out.view(np.float64))
+    elif values.ndim == 2 and values.flags.f_contiguous and out.flags.f_contiguous:
+        np.divide(values.T.view(np.float64), divisors[:, None], out=out.T.view(np.float64))
+    else:
+        np.divide(values.real, divisors, out=out.real)
+        np.divide(values.imag, divisors, out=out.imag)
     return out
 
 

@@ -809,6 +809,18 @@ def test_search_on_diagonal_operator_converges_fast():
     assert uni < 1e-10 and sym < 1e-10
 
 
+def test_search_solved_by_the_identity_builds_no_set_up(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the dense set-up ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    T = composition_matrix(rotation(np.exp(0.7j)), SpaceParams(0), 24)
+    result = conjugation_search(T, iters=60, seed=0)
+    assert result.conjugation.u.tobytes() == np.eye(25, dtype=np.complex128).tobytes()
+    assert len(result.residuals) == len(result.best_trace) == 1
+    assert result.residuals[0] == result.best_trace[0] < 1e-13
+
+
 def test_search_best_trace_is_nonincreasing():
     rng = np.random.default_rng(23)
     cases = [

@@ -419,18 +419,39 @@ def test_composition_matrix_rejects_a_map_that_is_not_a_self_map():
         composition_matrix(Lft(2.0, 0.0, 0.0, 1.0), SpaceParams(0), 8)
 
 
-@pytest.mark.parametrize("degree", [256, 1024])
-def test_composition_matrix_allocates_its_result_once(degree):
+@pytest.mark.parametrize(
+    "symbol, degree",
+    [
+        pytest.param(involution(0.5), 256, id="256"),
+        pytest.param(involution(0.5), 1024, id="1024"),
+        # A series table is filled row-major and handed over as its transpose.
+        pytest.param(TruncatedSeries([0.1, 0.5, 0.2j, -0.1]), 256, id="poly-256"),
+    ],
+)
+def test_composition_matrix_allocates_its_result_once(symbol, degree):
     # Beside the result the tiled fill holds its boundary store, 0.27 of it.
     params = SpaceParams(0)
-    composition_matrix(involution(0.5), params, degree)  # fills the weight cache
+    composition_matrix(symbol, params, degree)  # fills the weight cache
     tracemalloc.start()
     try:
-        op = composition_matrix(involution(0.5), params, degree)
+        op = composition_matrix(symbol, params, degree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * op.mat.nbytes
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [involution(0.5), TruncatedSeries([0.1, 0.5, 0.2j, -0.1])],
+    ids=["scanned-map", "series"],
+)
+def test_composition_matrix_keeps_the_table_it_fills(symbol):
+    # Both tables are views of the array the fill wrote: below the scan's zero
+    # row, or the transpose of the row-major series table.  A copy has no base.
+    mat = composition_matrix(symbol, SpaceParams(0), _TILE - 1).mat
+    assert mat.base is not None
+    assert not mat.base.flags.writeable
 
 
 def test_operator_matrix_copies_writeable_input_and_keeps_read_only_input():

@@ -29,7 +29,7 @@ from bergman_csym import (
     to_series,
 )
 from bergman_csym.lft import power_table
-from bergman_csym.series import _TILE, _fill_rows, mobius_powers, powers
+from bergman_csym.series import _TILE, _fill_rows, _require_finite, mobius_powers, powers
 import exact
 from helpers import horner_compose, kernel_check_map, power_loop
 
@@ -249,6 +249,21 @@ def test_overflow_inside_a_loop_is_rejected(build):
 def test_bad_series_and_conjugations_are_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "layout", [lambda t: t, lambda t: t.T, lambda t: t[:, ::2]], ids=["contiguous", "transpose", "strided"]
+)
+@pytest.mark.parametrize(
+    "bad", [complex(np.inf, 0.0), complex(np.nan, 0.0), complex(0.0, -np.inf), complex(0.0, np.nan)],
+    ids=["inf-real", "nan-real", "inf-imag", "nan-imag"],
+)
+def test_finiteness_check_sees_either_part_in_any_layout(layout, bad):
+    table = np.ones((4, 6), dtype=np.complex128)
+    _require_finite(layout(table))
+    table[2, 4] = bad
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        _require_finite(layout(table))
 
 
 _LINEAR = TruncatedSeries([0.5, 0.25])
