@@ -75,6 +75,7 @@ from .operators import (
     from_coords,
     hurst_factors,
     involution_adjoint_apply,
+    kernel_check,
     multiplication_matrix,
     mzstar_apply,
     mzstar_on_monomial,

@@ -25,21 +25,9 @@ import sys
 import numpy as np
 
 from .errors import InvalidInputError, ToolkitError
-from .lft import (
-    Lft,
-    MapKind,
-    classify,
-    dilation_about,
-    fixed_points,
-    involution,
-    make,
-    scaled,
-    to_series,
-)
-from .lft import compose as compose_maps
-from .series import TruncatedSeries, compose
-from .space import SpaceParams, inner_product, kernel_series
-from .operators import composition_matrix, verify_hurst
+from .lft import Lft, MapKind, classify, dilation_about, fixed_points, make, to_series
+from .space import SpaceParams
+from .operators import composition_matrix, kernel_check, verify_hurst
 from .csym import (
     conjugation_search,
     elliptic_certificate,
@@ -201,23 +189,7 @@ def _cmd_matrix(args):
 
 def _cmd_kernel_check(args):
     params = SpaceParams(args.beta)
-    if args.cases < 1 or args.seed < 0:
-        raise InvalidInputError(f"need cases >= 1 and seed >= 0, got cases={args.cases}, seed={args.seed}")
-    rng = np.random.default_rng(args.seed)
-    degree = _degree_from_dim(args.dim)
-    worst = 0.0
-    for _ in range(args.cases):
-        a, b = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6) for _ in range(2))
-        u = np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.3, 1.0)
-        phi = compose_maps(involution(a), scaled(involution(b), u))
-        alpha = rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.uniform())
-        fdeg = int(rng.integers(0, 11))
-        fcoeffs = rng.uniform(-1, 1, fdeg + 1) + 1j * rng.uniform(-1, 1, fdeg + 1)
-        f = TruncatedSeries(fcoeffs)
-        pushed = compose(f.resized(degree), to_series(phi, degree), degree)
-        paired = inner_product(params, pushed, kernel_series(params, alpha, degree))
-        direct = f(phi(alpha))
-        worst = max(worst, abs(paired - direct))
+    worst = kernel_check(params, _degree_from_dim(args.dim), args.cases, args.seed)
     fields = {
         "beta": args.beta,
         "dim": args.dim,
@@ -355,13 +327,15 @@ def _cmd_iterate(args):
 
 def _cmd_eigencheck(args):
     params = SpaceParams(args.beta)
-    residual = hurst_eigencheck(args.s, args.exponent, params, _degree_from_dim(args.dim), args.block)
+    degree = _degree_from_dim(args.dim)
+    block = degree // 4 if args.block is None else args.block
+    residual = hurst_eigencheck(args.s, args.exponent, params, degree, block)
     fields = {
         "beta": args.beta,
         "s": _c(args.s),
         "exponent": args.exponent,
         "dim": args.dim,
-        "block": args.block if args.block is not None else (args.dim - 1) // 4,
+        "block": block,
         "residual": residual,
     }
     return _json_payload(fields), f"eigen-relation residual {_f(residual)}"

@@ -91,9 +91,20 @@ class Lft:
         if not all(cmath.isfinite(t) for t in (self.a, self.b, self.c, self.d)):
             raise InvalidInputError(f"map coefficients must be finite, got {self!r}")
         # Largest coefficient modulus: the unit for every relative tolerance.
-        self.scale = scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0.0:
             raise DegenerateMapError("all four coefficients are zero")
+        # Far from 1 a quotient by d or a power of d leaves the double range (numpy's
+        # complex division overflows at a subnormal d); an exact power of two keeps
+        # every ratio and brings the largest modulus into [0.5, 1).
+        exp = math.frexp(scale)[1]
+        if not -64 <= exp <= 64:
+            self.a, self.b, self.c, self.d = (
+                complex(math.ldexp(t.real, -exp), math.ldexp(t.imag, -exp))
+                for t in (self.a, self.b, self.c, self.d)
+            )
+            scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        self.scale = scale
         na, nb, nc, nd = (t / scale for t in (self.a, self.b, self.c, self.d))
         ndet = na * nd - nb * nc
         if abs(ndet) < 1e-14:

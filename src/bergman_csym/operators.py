@@ -40,13 +40,15 @@ from .errors import (
     NotSelfMapError,
     require_in_disk,
 )
-from .lft import Lft, involution, make, power_table, to_series
+from .lft import Lft, involution, make, power_table, scaled, to_series
+from .lft import compose as compose_maps
 from .series import TruncatedSeries, _require_sizes, binomial_expand, compose, mul, powers
 from .space import (
     SpaceParams,
     _divide_parts,
     _divided_by_weights,
     _divisor_weights,
+    inner_product,
     kernel_series,
     weights,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "mzstar_on_monomial",
     "hurst_factors",
     "verify_hurst",
+    "kernel_check",
     "involution_adjoint_apply",
 ]
 
@@ -110,7 +113,7 @@ def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
 
 def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
     """Series whose orthonormal coordinates are ``vec``."""
-    vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    vec = np.ascontiguousarray(vec, dtype=np.complex128).reshape(-1)
     if vec.size == 0:
         raise InvalidInputError("vec must hold at least one coordinate, got 0")
     return TruncatedSeries(_divided_by_weights(params, vec.size - 1, vec, root=True))
@@ -259,6 +262,28 @@ def verify_hurst(phi: Lft, params: SpaceParams, degree: int, block: int) -> floa
     mh = multiplication_matrix(h, params, block_degree)
     resid = cphi.mat.conj().T - mg.mat @ csigma.mat @ mh.mat.conj().T
     return float(np.linalg.norm(resid))
+
+
+def kernel_check(params: SpaceParams, degree: int, cases: int, seed: int) -> float:
+    """Largest ``|<C_phi f, K_alpha> - f(phi(alpha))|`` over ``cases`` random self-maps, points
+    and polynomials of degree at most 10 drawn from ``default_rng(seed)``, ``f o phi`` cut to ``degree``."""
+    if cases < 1 or seed < 0:
+        raise InvalidInputError(f"need cases >= 1 and seed >= 0, got cases={cases}, seed={seed}")
+    _require_sizes(degree=degree)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        a, b = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6) for _ in range(2))
+        u = np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.3, 1.0)
+        phi = compose_maps(involution(a), scaled(involution(b), u))
+        alpha = rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.uniform())
+        fdeg = int(rng.integers(0, 11))
+        fcoeffs = rng.uniform(-1, 1, fdeg + 1) + 1j * rng.uniform(-1, 1, fdeg + 1)
+        f = TruncatedSeries(fcoeffs)
+        pushed = compose(f.resized(degree), to_series(phi, degree), degree)
+        paired = inner_product(params, pushed, kernel_series(params, alpha, degree))
+        worst = max(worst, abs(paired - f(phi(alpha))))
+    return worst
 
 
 # The largest integer beta whose binomials C(2+beta, k) are all doubles: C(1030, 515) is not.

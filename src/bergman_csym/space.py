@@ -101,28 +101,25 @@ def _divide_parts(values: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> 
     reciprocal, which puts a part one ulp off for about 44% of random quotients and overflows at
     a subnormal divisor where the quotient need not.  ``out`` may be ``values``.
 
-    Contiguous arrays are divided in one pass over their float64 views, each divisor repeated
-    for the two parts it divides; the two strided part-wise passes remain for other layouts.
-    A column-major table is the transpose of a row-major one, divided along its rows.
+    ``values`` and ``out`` are C-contiguous, divided in one pass over their float64 views with
+    each divisor repeated for the two parts it divides, or both column-major 2-D tables: the
+    transpose of a row-major one, divided along its rows.
     """
     if values.flags.c_contiguous and out.flags.c_contiguous:
         np.divide(values.view(np.float64), divisors.repeat(2), out=out.view(np.float64))
-    elif values.ndim == 2 and values.flags.f_contiguous and out.flags.f_contiguous:
-        np.divide(values.T.view(np.float64), divisors[:, None], out=out.T.view(np.float64))
     else:
-        np.divide(values.real, divisors, out=out.real)
-        np.divide(values.imag, divisors, out=out.imag)
+        np.divide(values.T.view(np.float64), divisors[:, None], out=out.T.view(np.float64))
     return out
 
 
 def _divided_by_weights(
     params: SpaceParams, n_max: int, values=1.0, cumulative: bool = False, root: bool = False
 ) -> np.ndarray:
-    """``values[..., n] / w(n)``, or ``/ sqrt(w(n))`` with ``root``, for ``n = 0..n_max``, or partial sums.
+    """``values[n] / w(n)``, or ``/ sqrt(w(n))`` with ``root``, for ``n = 0..n_max``, or partial sums.
 
-    A complex numerator is divided part by part (:func:`_divide_parts`).
-    ``InvalidInputError`` names the first ``n`` whose quotient leaves the double range, in
-    any row.
+    ``values`` is a scalar or a C-contiguous vector; a complex one is divided part by part
+    (:func:`_divide_parts`).  ``InvalidInputError`` names the first ``n`` whose quotient
+    leaves the double range.
     """
     w = _divisor_weights(params, n_max)
     divisors = np.sqrt(w) if root else w
@@ -134,7 +131,7 @@ def _divided_by_weights(
             out = values / divisors
         if cumulative:
             out = np.cumsum(out)
-    finite = np.isfinite(out).reshape(-1, w.size).all(axis=0)
+    finite = np.isfinite(out)
     if not finite.all():
         n = int(np.argmin(finite))
         divisor = f"sqrt(w({n}))" if root else f"w({n})"

@@ -23,7 +23,7 @@ def random_poly(rng, max_degree):
 
 
 def kernel_check_map(rng):
-    """A symbol as drawn by the ``kernel-check`` subcommand."""
+    """A symbol as drawn by ``operators.kernel_check`` (the ``kernel-check`` subcommand)."""
     a, b = (rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.6, 0.6) for _ in range(2))
     u = np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.3, 1.0)
     return compose_maps(involution(a), scaled(involution(b), u))

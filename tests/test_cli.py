@@ -1,6 +1,7 @@
 """Command-line front end: payload shapes, formats, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,11 +11,13 @@ import pytest
 
 import bergman_csym.cli as cli
 from bergman_csym import (
+    InvalidInputError,
     SpaceParams,
     composition_matrix,
     dilation_about,
     gram_column_zero,
     gram_exact,
+    kernel_check,
     rotation,
     to_series,
     weights,
@@ -151,6 +154,21 @@ def test_kernel_check_divides_by_subnormal_weights(capsys):
     # degree 233 is a double, divided part by part.
     doc = payload(capsys, ["kernel-check", "--beta", "2000.5", "--dim", "234", "--cases", "2"])
     assert doc["max_error"] < 1e-9
+
+
+@pytest.mark.parametrize("beta,dim,cases,seed", [(0, 64, 5, 0), (2.5, 128, 7, 3), (2000.5, 234, 2, 0)])
+def test_kernel_check_payload_is_the_library_value(capsys, beta, dim, cases, seed):
+    argv = ["kernel-check", "--beta", str(beta), "--dim", str(dim), "--cases", str(cases), "--seed", str(seed)]
+    assert kernel_check(SpaceParams(beta), dim - 1, cases, seed) == payload(capsys, argv)["max_error"]
+
+
+@pytest.mark.parametrize("cases,seed", [(0, 0), (5, -1)])
+def test_kernel_check_refuses_in_the_library_with_the_commands_message(capsys, cases, seed):
+    message = f"need cases >= 1 and seed >= 0, got cases={cases}, seed={seed}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        kernel_check(SpaceParams(0), 63, cases, seed)
+    argv = ["kernel-check", "--beta", "0", "--dim", "64", "--cases", str(cases), "--seed", str(seed)]
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_hurst_check_on_involution(capsys):
@@ -364,6 +382,27 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert strict_json(result.stdout)["direct"] == [0.125, 0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["classify"], ["series"], ["matrix", "--beta", "0", "--dim", "8"],
+     ["hurst-check", "--beta", "0", "--dim", "32", "--block", "4"],
+     ["csym", "--beta", "0", "--dim", "8", "--iters", "5"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize(
+    "unit,tiny", [(("0.5", "1"), ("1e-310", "2e-310")), (("1", "1"), ("1e-310", "1e-310"))],
+    ids=["half", "identity"],
+)
+def test_subnormal_coefficients_give_the_payload_of_the_unit_scale_map(capsys, command, unit, tiny):
+    # 1e-310 z / 2e-310 is z / 2: the map is rescaled by a power of two on construction.
+    def run(a, d):
+        return run_cli(capsys, [*command, "--a", a, "--b", "0", "--c", "0", "--d", d])
+
+    expected = run(*unit)
+    assert expected[0] == 0, expected[2]
+    assert run(*tiny) == expected
 
 
 def test_classify_contraction_is_not_an_automorphism(capsys):

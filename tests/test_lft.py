@@ -15,6 +15,7 @@ from bergman_csym import (
     NotHyperbolicError,
     NotSelfMapError,
     NotUnitaryError,
+    SpaceParams,
     apply_map,
     classify,
     compose_maps,
@@ -29,7 +30,11 @@ from bergman_csym import (
     rotation,
     scaled,
     to_series,
+    verify_hurst,
 )
+from bergman_csym.lft import power_table
+import exact
+from helpers import kernel_check_map
 
 
 def points_by_location(report):
@@ -222,6 +227,38 @@ def test_classification_invariant_under_rescaling():
         for t in (2.0, -1.0, 1j, 0.5 - 0.5j):
             rescaled = make(*(t * np.asarray(coeffs, dtype=complex)))
             assert classify(rescaled).kind is reference
+
+
+_UNSCALED = {
+    "half": make(0.5, 0, 0, 1),
+    "involution": involution(0.3 + 0.4j),
+    "kernel-check": kernel_check_map(np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("factor", [2.0**-1030, 2.0**-600, 2.0**600],
+                         ids=["2^-1030", "2^-600", "2^600"])
+@pytest.mark.parametrize("name", list(_UNSCALED))
+def test_map_at_an_extreme_coefficient_scale_is_the_same_map(name, factor):
+    phi = _UNSCALED[name]
+    coeffs = [t * factor for t in (phi.a, phi.b, phi.c, phi.d)]
+    psi = Lft(*coeffs)
+    assert 0.5 <= psi.scale < 1.0
+    assert classify(psi).kind is classify(phi).kind
+    # Subnormal coefficients (2**-1030) keep fewer bits than phi's, so the
+    # exact table is the one of the coefficients given.
+    degree = 16
+    reference = exact.mobius_powers_exact(*coeffs, degree + 1, degree)
+    table = power_table(psi, degree + 1, degree)
+    assert exact.max_error_ratio(table, reference, exact.power_table_bound(degree)) <= 1.0
+    assert verify_hurst(psi, SpaceParams(0), 32, 4) < 1e-10
+
+
+def test_coefficients_are_rescaled_only_outside_exponent_64():
+    assert Lft(2.0**63, 0, 0, 2.0**63).a == 2.0**63
+    assert Lft(2.0**64, 0, 0, 2.0**64).a == 0.5
+    assert Lft(2.0**-65, 0, 0, 2.0**-65).a == 2.0**-65
+    assert Lft(2.0**-66, 0, 0, 2.0**-66).a == 0.5
 
 
 def test_elliptic_kind_requires_automorphism():
