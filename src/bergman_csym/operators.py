@@ -226,18 +226,21 @@ def hurst_factors(phi: Lft, params: SpaceParams, degree: int):
 
     expanded here to the requested degree (principal branches for
     non-integer exponents; both bases are zero-free on the closed disk
-    because ``|b| < |d|`` for any self-map).  When ``phi`` is the involution
-    at ``alpha`` this specializes to ``sigma`` the involution itself, ``g``
-    the reproducing kernel at ``alpha`` and ``h`` its reciprocal.
+    because ``|b| < |d|`` for any self-map).  They are formed from the map
+    scaled to ``d = 1``, ``(a/d, b/d, c/d, 1)``: the scalars
+    ``conj(d)**-(beta+2)`` and ``d**(beta+2)`` cancel in ``M_g C_sigma M_h*``
+    and are never formed, so neither overflows at large beta.  When ``phi``
+    is the involution at ``alpha`` this specializes to ``sigma`` the
+    involution itself, ``g`` the reproducing kernel at ``alpha`` and ``h``
+    its reciprocal.
     """
     if not phi.is_self_map:
         raise NotSelfMapError(f"{phi!r} is not a self-map of the disk")
-    a, b, c, d = phi.a, phi.b, phi.c, phi.d
-    sigma = make(np.conj(a), -np.conj(c), -np.conj(b), np.conj(d))
+    a, b, c = (t / phi.d for t in (phi.a, phi.b, phi.c))
+    sigma = make(np.conj(a), -np.conj(c), -np.conj(b), 1.0)
     p = params.beta + 2.0
-    db = np.conj(d)
-    g = complex(db) ** (-p) * binomial_expand(-np.conj(b) / db, -p, degree)
-    h = complex(d) ** p * binomial_expand(c / d, p, degree)
+    g = binomial_expand(-np.conj(b), -p, degree)
+    h = binomial_expand(c, p, degree)
     return g, sigma, h
 
 

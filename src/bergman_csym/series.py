@@ -183,32 +183,33 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
 
     O(1) work per entry, against O(D) for a convolution.  Errors are damped
     by ``|c/d| < 1`` and ``|b/d| < 1``, which hold for every self-map.  The
-    table is filled one of two ways, chosen by its shape:
+    table is filled one of two ways, chosen by its shape (:func:`_scanned`):
 
-    - a table of few rows, ``degree < _TILE`` or ``3 (degree + 1) <= count``,
-      row by row, each row by a doubling scan (:func:`_fill_rows`): row 0
-      from a zero row -1 and ``T[0, 0] = 1``, then each row from the one
-      above it;
+    - a table of few rows, at most ``_TILE`` or at most about
+      ``(log2(count) / 2)**2``, row by row, each row by a doubling scan
+      (:func:`_fill_rows`): row 0 from a zero row -1 and ``T[0, 0] = 1``,
+      then each row from the one above it;
     - any other table over ``_TILE x _TILE`` tiles (:func:`_fill_tiles`):
       one Python step per diagonal of tiles, the tile interiors by matrix
       products (Blelloch's blocking of linear recurrences, in two
       dimensions).
 
-    The scan pays off only while the rows are few: from about
-    ``count / 3`` rows on, the ``log2 count`` steps per row cost more than
-    the tiles.  Within one fill entry ``(n, j)`` depends only on rows up to
-    ``n``, so row n does not depend on ``degree``: bitwise, the rows of a
-    scan-filled table are those of the tallest scan-filled table of the
-    same ``count``, and the rows of a tiled table those of any taller one.
-    Across the two fills rows agree within the power-table bound, not
-    bitwise.  The table is checked for finiteness once, as in
+    The scan pays off only while the rows are few: measured through this
+    function on one CPU, its ``log2 count`` steps per row cost more than the
+    tiles from about 12 rows on at count 129, 16 at 257, 20 at 513, 25 at
+    1025 and 36 at 4097.  Within one fill entry ``(n, j)`` depends only on
+    rows up to ``n``, so row n does not depend on ``degree``: bitwise, the
+    rows of a scan-filled table are those of the tallest scan-filled table
+    of the same ``count``, and the rows of a tiled table those of any
+    taller one.  Across the two fills rows agree within the power-table
+    bound, not bitwise.  The table is checked for finiteness once, as in
     :func:`powers`.
     """
     _require_sizes(count=count, degree=degree)
     a, b, c, d = (complex(t) for t in (a, b, c, d))
     if d == 0:
         raise DegenerateDenominatorError("cannot expand 1/(c*z + d) with d = 0")
-    scan = degree < _TILE or 3 * (degree + 1) <= count
+    scan = _scanned(count, degree)
     # The scan reads a zero row -1 above the table.  The tiles keep theirs in
     # the boundary store, and their table is no view.  Either fill writes
     # every entry right of column 0, so only the boundary is set here.
@@ -258,10 +259,20 @@ def _fill_rows(grid: np.ndarray, a: complex, b: complex, c: complex, d: complex)
             np.add(y[s:], tmp[: cols - s], out=y[s:])
 
 
-# The edge of the square tiles of _fill_tiles.  A table of at most _TILE
-# rows is scanned whatever its count: it is one tile row, which the scan
-# fills in fewer Python steps than the tiles take.
+# The edge of the square tiles of _fill_tiles.
 _TILE = 8
+
+
+def _scanned(count: int, degree: int) -> bool:
+    """Whether :func:`mobius_powers` fills its ``(degree+1, count)`` table by the row scan.
+
+    A table of at most ``_TILE`` rows is one tile row, which the scan fills
+    in fewer Python steps than the tiles take, whatever its count.  Past
+    that the bound ``(log2(count) / 2)**2`` rows follows the measured
+    crossover of the two fills (see :func:`mobius_powers`); it stays below a
+    third of ``count``, so a square or tall table of more rows is tiled.
+    """
+    return degree < max(_TILE, (int(count).bit_length() - 1) ** 2 // 4)
 
 
 def _tile_response(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:

@@ -331,6 +331,25 @@ def test_factorization_rejects_empty_block():
         verify_hurst(involution(0.5), SpaceParams(0), 32, 0)
 
 
+def _times_power_of_two(phi, exp):
+    return Lft(*(t * 2.0**exp for t in (phi.a, phi.b, phi.c, phi.d)))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        Lft(0.001, 0.0001, 0.0, 0.002),
+        _times_power_of_two(HURST_SYMBOLS["kernel_check_contraction"], -40),
+        _times_power_of_two(HURST_SYMBOLS["kernel_check_contraction"], 40),
+    ],
+    ids=["small-d", "kernel-check-times-2**-40", "kernel-check-times-2**40"],
+)
+def test_factorization_at_large_beta_whatever_the_scale_of_d(phi):
+    # d**(beta+2) and conj(d)**-(beta+2) cancel in the factorization, so
+    # neither is formed: far from |d| = 1 one of them leaves the double range.
+    assert verify_hurst(phi, SpaceParams(200), 31, 4) < 1e-7
+
+
 @pytest.mark.parametrize("beta", [-1, 0, 2, 0.5])
 def test_multiplication_matrix_equals_scipy_toeplitz(beta):
     from scipy.linalg import toeplitz

@@ -29,7 +29,7 @@ from bergman_csym import (
     to_series,
 )
 from bergman_csym.lft import power_table
-from bergman_csym.series import _TILE, _fill_rows, _require_finite, mobius_powers, powers
+from bergman_csym.series import _TILE, _fill_rows, _require_finite, _scanned, mobius_powers, powers
 import exact
 from helpers import horner_compose, kernel_check_map, power_loop
 
@@ -491,7 +491,7 @@ def test_power_table_within_bound_of_power_loop(a, b, radius, turn, degree):
 @pytest.mark.parametrize("degree", [0, 1, 7, 12])
 @pytest.mark.parametrize("name", sorted(_EXACT_MAPS))
 def test_short_power_table_within_bound_of_exact(name, degree):
-    # 3 (degree + 1) <= count: the table is filled row by row, each row by a scan.
+    # Up to _TILE rows the table is filled row by row, each row by a scan; 13 rows are tiled.
     table = power_table(_EXACT_MAPS[name], _EXACT_DEGREE + 1, degree)
     reference = _exact_table(name)[: degree + 1]
     ratio = exact.max_error_ratio(table, reference, exact.power_table_bound(_EXACT_DEGREE))
@@ -504,11 +504,11 @@ def test_power_table_rows_do_not_depend_on_degree(count):
     # rows agree within the power-table bound.
     for phi in (involution(0.3 + 0.4j), hyperbolic_model(0.5), _DYADIC_MAPS["contraction-0.9"]):
         full = power_table(phi, count, 200)
-        tallest_scanned = power_table(phi, count, max(count // 3 - 1, _TILE - 1))
+        tallest_scanned = power_table(phi, count, max(d for d in range(200) if _scanned(count, d)))
         bound = float(exact.power_table_bound(200)) * np.max(np.abs(full))
         for degree in (0, 1, 2, 7, 31, 64, 199):
             table = power_table(phi, count, degree)
-            if degree < _TILE or 3 * (degree + 1) <= count:  # filled row by row
+            if _scanned(count, degree):  # filled row by row
                 assert table.tobytes() == tallest_scanned[: degree + 1].tobytes()
                 assert np.max(np.abs(table - full[: degree + 1])) <= bound
             else:
@@ -565,6 +565,24 @@ def test_tiled_table_within_bound_of_whole_table_recurrence(name, degree):
     if name == "rotation":  # phi**j = (e^{0.4i} z)**j: the zeros are exact on both routes
         assert not np.any(table - np.diag(np.diag(table)))
         assert not np.any(reference - np.diag(np.diag(reference)))
+
+
+# Short wide tables past the crossover of the two fills, up to a third as many rows as powers;
+# at count 513 the crossover lies past 17 rows.
+@pytest.mark.parametrize(
+    "count,rows",
+    [(129, 17), (129, 24), (129, 43), (257, 17), (257, 24), (257, 85), (513, 24), (513, 32), (513, 171)],
+)
+def test_short_wide_table_past_the_crossover_is_tiled(count, rows):
+    # Within the power-table bound of the scan over the whole table, and
+    # bitwise the top rows of the square table, which is tiled.
+    degree = rows - 1
+    for name, phi in sorted(_TILED_MAPS.items()):
+        table = power_table(phi, count, degree)
+        reference = _whole_table(phi, count, degree)
+        bound = float(exact.power_table_bound(count - 1)) * np.max(np.abs(reference))
+        assert np.max(np.abs(table - reference)) <= bound, name
+        assert table.tobytes() == power_table(phi, count, count - 1)[:rows].tobytes(), name
 
 
 @pytest.mark.parametrize("cols", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
