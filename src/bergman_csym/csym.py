@@ -27,6 +27,7 @@ rule out conjugations for high-order elliptic symbols.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,10 +184,12 @@ def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int
     rows; see :func:`~bergman_csym.series.mobius_powers`), and its coordinate is that times
     ``sqrt(w(m))``.  The weights enter by square roots, as in the composition matrix: a product
     ``w(n) T[n, m]`` keeps only a few ulps where ``w(n)`` is subnormal (1e-323 at n = 233,
-    beta = 2000.5).
+    beta = 2000.5).  At ``beta = -1`` every weight is 1 and only the conjugate remains.
     """
-    sqrtw = np.sqrt(_divisor_weights(params, degree))
     rows = power_table(involution(alpha), degree + 1, count - 1)
+    if params.unit_weights:
+        return np.conjugate(rows, out=rows)
+    sqrtw = np.sqrt(_divisor_weights(params, degree))
     rows *= sqrtw[:count, None]
     _divide_parts(rows, sqrtw, rows)
     np.conjugate(rows, out=rows)
@@ -223,14 +226,17 @@ class GramTable:
         return float(np.max(np.abs(self.entries[mask])))
 
 
-def _band_diagonals(params: SpaceParams, alpha: complex, size: int, offsets):
-    """Yield ``(d, m, G[m + d, m])`` along each band diagonal ``d`` in ``offsets`` of :func:`gram_exact`.
+def _band_diagonals(params: SpaceParams, alpha: complex, size: int, offsets) -> list:
+    """``(d, m, G[m + d, m])`` along each band diagonal ``d`` in ``offsets`` of :func:`gram_exact`.
 
-    ``|d| <= 2 + beta``, and ``m`` runs over the columns with both indices below
-    ``size``.  The k-sum stops at the diagonal's last column: later terms add
-    empty slices, and their scalar products can overflow.  Terms that remain
-    can still overflow at large ``beta``; a diagonal that is not finite raises
-    ``InvalidInputError``.
+    ``offsets`` ascend, ``|d| <= 2 + beta``, and ``m`` runs over the columns
+    with both indices below ``size``.  One sweep over the k-sum serves every
+    diagonal: term k adds to the diagonals ``-k <= d <= min(2 + beta, size - 1) - k``,
+    a contiguous run of ``offsets``, in one vector operation over their
+    columns ``m >= k``.  The upper bound stops each diagonal's sum at its last
+    column: later terms add empty slices, and their scalar products can
+    overflow.  Terms that remain can still overflow at large ``beta``; a
+    diagonal that is not finite raises ``InvalidInputError``.
     """
     r = _binomial_alpha_weights(alpha, params.beta)
     top = r.size - 1
@@ -247,20 +253,27 @@ def _band_diagonals(params: SpaceParams, alpha: complex, size: int, offsets):
     for k in range(1, top + 1):
         m = idx[k:]
         c[k, k:] = c[k - 1, k:] * ((m - (k - 1)) / (m + 1.0 + params.beta - (k - 1)))
-    for d in offsets:
-        first, stop = max(0, -d), size - max(0, d)
-        m = idx[first:stop]
-        acc = np.zeros(stop - first, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(first, min(top - max(0, d), stop - 1) + 1):
-                acc[k - first :] += (np.conj(r[k]) * r[k + d]) * c[k, k:stop]
-            values = scale[m + d] * acc
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError(
-                f"the exact Gram sum leaves the double range at beta = {params.beta}, "
-                f"|alpha| = {abs(alpha)}"
-            )
-        yield d, m, values
+    offsets = list(offsets)
+    last = min(top, size - 1)
+    # Row i sums diagonal offsets[i] at its columns m; columns past the
+    # diagonal's last one collect terms that are never read.
+    acc = np.zeros((len(offsets), size), dtype=np.complex128)
+    diagonals = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(last + 1):
+            lo, hi = bisect_left(offsets, -k), bisect_right(offsets, last - k)
+            terms = [np.conj(r[k]) * r[k + d] for d in offsets[lo:hi]]
+            acc[lo:hi, k:] += np.array(terms, dtype=np.complex128)[:, None] * c[k, k:]
+        for d, row in zip(offsets, acc):
+            first, stop = max(0, -d), size - max(0, d)
+            m = idx[first:stop]
+            diagonals.append((d, m, scale[m + d] * row[first:stop]))
+    if not all(np.isfinite(values).all() for _, _, values in diagonals):
+        raise InvalidInputError(
+            f"the exact Gram sum leaves the double range at beta = {params.beta}, "
+            f"|alpha| = {abs(alpha)}"
+        )
+    return diagonals
 
 
 def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
@@ -279,8 +292,8 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     / (1-|alpha|^2)**(2+beta)`` shows the band edge is sharp for nonzero
     ``alpha``.  At ``alpha = 0`` the table is the diagonal of weights.
 
-    The table is filled one band diagonal ``d = n - m`` at a time, one
-    vector operation along it per term of the k-sum.  The bits match an
+    The band diagonals ``d = n - m`` are summed together, one vector
+    operation over all of them per term of the k-sum.  The bits match an
     entry-by-entry evaluation: each entry is the same sum in increasing
     ``k`` from ``+0``, ``conj(r_k) r_{k+d}`` is one scalar product,
     ``c_{k,m}`` is built in the factor order of :func:`mzstar_on_monomial`,

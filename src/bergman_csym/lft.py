@@ -2,9 +2,9 @@
 
 A map ``phi(z) = (a z + b) / (c z + d)`` is stored by its four complex
 coefficients.  Construction computes, once, the facts every later routine
-needs: the determinant, whether the map sends the open disk into itself,
-and whether it is a disk automorphism.  The self-map test is the closed
-inequality
+needs: the determinant and whether the map sends the open disk into
+itself.  Whether it is a disk automorphism is computed on first read and
+cached.  The self-map test is the closed inequality
 
     |b conj(d) - a conj(c)| + |a d - b c|  <=  |d|**2 - |c|**2,
 
@@ -80,7 +80,7 @@ class Lft:
     """A fractional linear map with cached self-map and automorphism flags."""
 
     __slots__ = (
-        "a", "b", "c", "d", "scale", "det", "self_map_margin", "is_self_map", "is_automorphism"
+        "a", "b", "c", "d", "scale", "det", "self_map_margin", "is_self_map", "_automorphism"
     )
 
     def __init__(self, a, b, c, d):
@@ -115,17 +115,28 @@ class Lft:
         )
         self.self_map_margin = float(margin)
         self.is_self_map = bool(margin >= -_SELF_MAP_SLACK)
-        self.is_automorphism = self.is_self_map and bool(abs(margin) <= _AUTOMORPHISM_SLACK)
-        if self.is_automorphism:
-            # Equality alone can be hit by non-automorphisms tangent to the
-            # circle, so confirm on sampled boundary values.
-            theta = 2.0 * np.pi * (np.arange(_N_BOUNDARY_SAMPLES) + 1.0 / 17.0) / _N_BOUNDARY_SAMPLES
-            zs = np.exp(1j * theta)
-            denom = self.c * zs + self.d
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.abs((self.a * zs + self.b) / denom)
-            ok = np.all(np.isfinite(vals)) and np.max(np.abs(vals - 1.0)) <= 1e-8
-            self.is_automorphism = bool(ok)
+        self._automorphism = None
+
+    @property
+    def is_automorphism(self) -> bool:
+        """Whether the map is a disk automorphism; computed on first read and cached.
+
+        Most maps built, such as the involution behind every adjoint image, are never asked.
+        """
+        if self._automorphism is None:
+            ok = self.is_self_map and abs(self.self_map_margin) <= _AUTOMORPHISM_SLACK
+            if ok:
+                # Equality alone can be hit by non-automorphisms tangent to the
+                # circle, so confirm on sampled boundary values.
+                theta = np.arange(_N_BOUNDARY_SAMPLES) + 1.0 / 17.0
+                theta = 2.0 * np.pi * theta / _N_BOUNDARY_SAMPLES
+                zs = np.exp(1j * theta)
+                denom = self.c * zs + self.d
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals = np.abs((self.a * zs + self.b) / denom)
+                ok = np.all(np.isfinite(vals)) and np.max(np.abs(vals - 1.0)) <= 1e-8
+            self._automorphism = bool(ok)
+        return self._automorphism
 
     @property
     def is_identity(self) -> bool:

@@ -145,17 +145,19 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     matrix of a series symbol is stored column-major.  The table is rescaled
     in place, and divided by ``sqrt(w(j))`` part by part in one pass over its
     float view (:func:`~bergman_csym.space._divide_parts`), so each part is
-    correctly rounded.
+    correctly rounded.  At ``beta = -1`` every weight is 1 and the table is
+    returned unweighted: the matrix is the power table itself.
     """
     _require_sizes(degree=degree)
     if isinstance(symbol, Lft):
         table = power_table(symbol, degree + 1, degree)
     else:
         table = powers(_series_symbol(symbol, degree), degree + 1, degree)
-    sqrtw = np.sqrt(_divisor_weights(params, degree))
-    # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
-    table *= sqrtw[:, None]
-    _divide_parts(table, sqrtw, table)
+    if not params.unit_weights:
+        sqrtw = np.sqrt(_divisor_weights(params, degree))
+        # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
+        table *= sqrtw[:, None]
+        _divide_parts(table, sqrtw, table)
     # A table may be a view (a series table's transpose, a scanned table below
     # its zero row); locking what it views lets OperatorMatrix keep it uncopied.
     if table.base is not None:
@@ -168,7 +170,8 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     """Compression of ``f -> psi * f``: a weighted lower-triangular Toeplitz matrix.
 
     Exact on any ``f`` with ``deg f <= degree - deg psi``; beyond that the
-    product would overflow the truncation and the top rows lose mass.
+    product would overflow the truncation and the top rows lose mass.  At
+    ``beta = -1`` the Toeplitz matrix is returned unweighted.
     """
     _require_sizes(degree=degree)
     dim = degree + 1
@@ -176,8 +179,10 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     n = min(dim, psi.coeffs.size)
     col[:n] = psi.coeffs[:n]
     i = np.arange(dim)
-    sqrtw = np.sqrt(_divisor_weights(params, degree))
-    mat = np.tril(col[i[:, None] - i[None, :]]) * (sqrtw[:, None] / sqrtw[None, :])
+    mat = np.tril(col[i[:, None] - i[None, :]])
+    if not params.unit_weights:
+        sqrtw = np.sqrt(_divisor_weights(params, degree))
+        mat = mat * (sqrtw[:, None] / sqrtw[None, :])
     mat.flags.writeable = False
     return OperatorMatrix(mat, params)
 

@@ -240,23 +240,28 @@ def _fill_rows(grid: np.ndarray, a: complex, b: complex, c: complex, d: complex)
     with ``u[j] = (a y'[j-1] - c y'[j]) / d`` for j >= 1 and the row y'
     above it, from its boundary ``y[0]``, solved by the doubling scan
     ``y[s:] += (b/d)**s y[:-s]`` for s = 1, 2, 4, ... (Hillis and Steele):
-    ceil(log2 cols) vector steps per row.
+    ceil(log2 cols) vector steps per row.  Everything but the rows is set
+    up once per call: the coefficients as numpy scalars, the ufuncs as local
+    names and each step's slice of the work row ``tmp``.
     """
     cols = grid.shape[1]
-    # (s, (b/d)**s) for s = 1, 2, 4, ... below cols, by repeated squaring.
+    a, c, d = (np.complex128(t) for t in (a, c, d))
+    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
+    tmp = np.empty_like(grid[0, 1:])
+    # (s, (b/d)**s, slice of tmp) for s = 1, 2, 4, ... below cols, by repeated squaring.
     steps, s, ratio = [], 1, np.complex128(b) / d
     while s < cols:
-        steps.append((s, ratio))
+        steps.append((s, ratio, tmp[: cols - s]))
         s, ratio = 2 * s, ratio * ratio
-    tmp = np.empty_like(grid[0, 1:])
     for above, y in zip(grid[:-1], grid[1:]):
-        np.multiply(above[:-1], a, out=y[1:])
-        np.multiply(above[1:], c, out=tmp)
-        np.subtract(y[1:], tmp, out=y[1:])
-        np.divide(y[1:], d, out=y[1:])
-        for s, ratio in steps:
-            np.multiply(y[:-s], ratio, out=tmp[: cols - s])
-            np.add(y[s:], tmp[: cols - s], out=y[s:])
+        right = y[1:]
+        multiply(above[:-1], a, out=right)
+        multiply(above[1:], c, out=tmp)
+        subtract(right, tmp, out=right)
+        divide(right, d, out=right)
+        for s, ratio, part in steps:
+            multiply(y[:-s], ratio, out=part)
+            add(y[s:], part, out=y[s:])
 
 
 # The edge of the square tiles of _fill_tiles.

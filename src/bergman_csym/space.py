@@ -57,6 +57,15 @@ class SpaceParams:
     def integer_beta(self) -> bool:
         return float(self.beta).is_integer()
 
+    @property
+    def unit_weights(self) -> bool:
+        """Whether every weight is exactly 1: the Hardy space, ``beta = -1``.
+
+        Weighting a table by ``sqrt(w)`` then changes no value, so the table
+        builders skip it; the vector helpers do not distinguish the case.
+        """
+        return self.beta == -1.0
+
 
 @lru_cache(maxsize=None)
 def _weights_cached(beta: float, n_max: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from bergman_csym import (
     to_series,
     verify_hurst,
 )
-from bergman_csym.lft import power_table
+from bergman_csym.lft import _AUTOMORPHISM_SLACK, power_table
 import exact
 from helpers import kernel_check_map
 
@@ -265,6 +265,17 @@ def test_elliptic_kind_requires_automorphism():
     # interior plus exterior fixed points split by the automorphism flag
     lox = classify(dilation_about(0.2, 0.6))
     assert lox.kind is MapKind.LOXODROMIC and not lox.is_automorphism
+
+
+def test_map_tangent_to_the_circle_is_no_automorphism_on_first_read():
+    # (z + 1)/2 touches the circle at 1: its margin lies within the automorphism
+    # slack, and the boundary samples, taken on the first read, reject it.
+    phi = make(0.5, 0.5, 0, 1)
+    assert abs(phi.self_map_margin) <= _AUTOMORPHISM_SLACK
+    assert phi.is_automorphism is False
+    assert phi.is_automorphism is False
+    assert classify(phi).kind is MapKind.PARABOLIC and not classify(phi).is_automorphism
+    assert involution(0.3 + 0.4j).is_automorphism is True
 
 
 # --- hyperbolic normal form -------------------------------------------

@@ -411,6 +411,38 @@ def test_composition_matrix_of_a_map_is_its_scaled_power_table(beta, degree):
         assert composition_matrix(phi, params, degree).mat.tobytes() == expected.tobytes(), phi
 
 
+_HARDY_MAPS = [*_LFT_SYMBOLS, rotation(np.exp(0.4j)), scaled(involution(0.02j), 0.5)]
+
+
+@pytest.mark.parametrize("degree", [7, 64, 512])
+def test_hardy_composition_matrix_is_the_power_table(degree):
+    # Every weight is 1 at beta = -1, so the matrix is not weighted at all; a complex
+    # multiply by 1 + 0j would turn some -0 parts of the contraction's table into +0.
+    for phi in _HARDY_MAPS:
+        got = composition_matrix(phi, SpaceParams(-1), degree).mat
+        assert got.tobytes() == power_table(phi, degree + 1, degree).tobytes(), (phi, degree)
+
+
+def test_hardy_multiplication_matrix_is_the_toeplitz_matrix():
+    psi = TruncatedSeries([1.0, complex(-0.0, -0.5), complex(-0.25, 0.0), -0.125j, complex(0.0, -0.0)])
+    for degree in (0, 3, 40):
+        expected = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
+        for n in range(degree + 1):
+            for j in range(max(0, n - psi.degree), n + 1):
+                expected[n, j] = psi.coeffs[n - j]
+        got = multiplication_matrix(psi, SpaceParams(-1), degree).mat
+        assert got.tobytes() == expected.tobytes(), degree
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j, -0.9375j])
+def test_hardy_adjoint_monomial_is_the_conjugate_power(alpha):
+    degree = 40
+    for n in (0, 1, 5, 17):
+        table = power_table(involution(alpha), degree + 1, n)
+        got = adjoint_monomial(SpaceParams(-1), alpha, n, degree).coeffs
+        np.testing.assert_array_equal(got, np.conj(table[n]))
+
+
 @pytest.mark.parametrize("beta", [-1, 0, 1, 2.5])
 def test_matrices_of_one_tile_are_blocks_of_a_larger_matrix(beta):
     # The blocks of verify_hurst and `matrix --dim` up to 8 are bitwise those of

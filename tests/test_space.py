@@ -51,6 +51,9 @@ def test_integer_weight_is_reciprocal_binomial():
 
 def test_hardy_weights_all_one():
     np.testing.assert_array_equal(weights(SpaceParams(-1), 50), np.ones(51))
+    assert np.all(weights(SpaceParams(-1), 4096) == 1.0) and SpaceParams(-1).unit_weights
+    for beta in (-0.999, -0.5, 0, 1, 2.5):
+        assert not SpaceParams(beta).unit_weights
 
 
 def test_weights_strictly_decreasing_above_hardy():
