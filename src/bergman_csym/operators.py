@@ -42,7 +42,7 @@ from .errors import (
 )
 from .lft import Lft, involution, make, power_table, scaled, to_series
 from .lft import compose as compose_maps
-from .series import TruncatedSeries, _require_sizes, binomial_expand, compose, mul, powers
+from .series import TruncatedSeries, _lower_toeplitz, _require_sizes, binomial_expand, compose, mul, powers
 from .space import (
     SpaceParams,
     _divide_parts,
@@ -158,8 +158,8 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
         # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
         table *= sqrtw[:, None]
         _divide_parts(table, sqrtw, table)
-    # A table may be a view (a series table's transpose, a scanned table below
-    # its zero row); locking what it views lets OperatorMatrix keep it uncopied.
+    # A table may be a view (a series table's transpose, the top rows of a short
+    # table); locking what it views lets OperatorMatrix keep it uncopied.
     if table.base is not None:
         table.base.flags.writeable = False
     table.flags.writeable = False
@@ -178,8 +178,7 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     col = np.zeros(dim, dtype=np.complex128)
     n = min(dim, psi.coeffs.size)
     col[:n] = psi.coeffs[:n]
-    i = np.arange(dim)
-    mat = np.tril(col[i[:, None] - i[None, :]])
+    mat = _lower_toeplitz(col)
     if not params.unit_weights:
         sqrtw = np.sqrt(_divisor_weights(params, degree))
         mat = mat * (sqrtw[:, None] / sqrtw[None, :])

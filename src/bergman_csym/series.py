@@ -11,9 +11,9 @@ is valid even when the inner series has a nonzero constant term.  The power
 table of a general series of degree g costs one convolution per power,
 O(D**2 g) for D powers cut at degree D (O(D**3) once g reaches D); that of
 a fractional linear map comes from a recurrence with O(1) work per entry,
-O(D**2) in all, run row by row by a doubling scan while the rows are few and
-over small square tiles otherwise, so that the Python loop takes one step
-per row or per diagonal of tiles (:func:`mobius_powers`).
+O(D**2) in all, from a few products of small transfer matrices while the
+rows are few and over small square tiles otherwise, so that the Python loop
+takes a few steps in all or one per diagonal of tiles (:func:`mobius_powers`).
 """
 
 from __future__ import annotations
@@ -181,103 +181,135 @@ def mobius_powers(a, b, c, d, count: int, degree: int) -> np.ndarray:
 
         d T[n, j] = b T[n, j-1] + a T[n-1, j-1] - c T[n-1, j],
 
-    O(1) work per entry, against O(D) for a convolution.  Errors are damped
-    by ``|c/d| < 1`` and ``|b/d| < 1``, which hold for every self-map.  The
-    table is filled one of two ways, chosen by its shape (:func:`_scanned`):
+    O(1) work per entry, against O(D) for a convolution.  On its first h
+    rows column j of the table is ``M**j e0``, for the h x h column transfer
+    ``M`` of :func:`_transfer_powers`.  Errors are damped by ``|c/d| < 1`` and
+    ``|b/d| < 1``, which hold for every self-map.  The table is filled one of
+    two ways, chosen by its shape (:func:`_scanned`):
 
     - a table of few rows, at most ``_TILE`` or at most about
-      ``(log2(count) / 2)**2``, row by row, each row by a doubling scan
-      (:func:`_fill_rows`): row 0 from a zero row -1 and ``T[0, 0] = 1``,
-      then each row from the one above it;
+      ``(log2(count) / 2)**2``, from the transfer powers at that height
+      (:func:`_short_table`): a few small matrix products in all;
     - any other table over ``_TILE x _TILE`` tiles (:func:`_fill_tiles`):
       one Python step per diagonal of tiles, the tile interiors by matrix
       products (Blelloch's blocking of linear recurrences, in two
       dimensions).
 
-    The scan pays off only while the rows are few: measured through this
-    function on one CPU, its ``log2 count`` steps per row cost more than the
-    tiles from about 12 rows on at count 129, 16 at 257, 20 at 513, 25 at
-    1025 and 36 at 4097.  Within one fill entry ``(n, j)`` depends only on
-    rows up to ``n``, so row n does not depend on ``degree``: bitwise, the
-    rows of a scan-filled table are those of the tallest scan-filled table
-    of the same ``count``, and the rows of a tiled table those of any
-    taller one.  Across the two fills rows agree within the power-table
-    bound, not bitwise.  The table is checked for finiteness once, as in
-    :func:`powers`.
+    Row n of a short table does not depend on ``degree``: the transfer
+    powers have a height fixed by ``count``, whatever the rows asked for,
+    so the rows of a short table are bitwise those of the tallest short
+    table of the same ``count``.  A tiled entry ``(n, j)`` depends only on
+    rows up to ``n``, so the rows of a tiled table are those of any taller
+    one.  Across the two fills rows agree within the power-table bound, not
+    bitwise.  The table is checked for finiteness once, as in
+    :func:`powers`.  A short table is computed at its full height, so a map
+    that is not a self-map can overflow in rows past ``degree`` and spread
+    NaN into the rows asked for: ``mobius_powers(1e40, 0.5, 0, 1, 257, 1)``
+    is refused although its two rows are finite.  No self-map can, since
+    every ``|T[n, j]| <= 1`` there.
     """
     _require_sizes(count=count, degree=degree)
     a, b, c, d = (complex(t) for t in (a, b, c, d))
     if d == 0:
         raise DegenerateDenominatorError("cannot expand 1/(c*z + d) with d = 0")
-    scan = _scanned(count, degree)
-    # The scan reads a zero row -1 above the table.  The tiles keep theirs in
-    # the boundary store, and their table is no view.  Either fill writes
-    # every entry right of column 0, so only the boundary is set here.
-    grid = np.empty((degree + 1 + scan, count), dtype=np.complex128)
-    grid[:, :1] = 0.0
-    if scan:
-        grid[0] = 0.0
-    table = grid[1:] if scan else grid
-    table[:1, :1] = 1.0
-    if count < 2:
-        return table
     # Overflow is rejected after the fill, where every entry has been stored.
     with np.errstate(over="ignore", invalid="ignore"):
-        if scan:
-            _fill_rows(grid, a, b, c, d)
+        if _scanned(count, degree):
+            table = _short_table(a, b, c, d, count, degree + 1)
         else:
-            _fill_tiles(table, a, b, c, d)
+            # The tiles write every entry right of column 0, so only that is set here.
+            table = np.empty((degree + 1, count), dtype=np.complex128)
+            table[:, :1] = 0.0
+            table[:1, :1] = 1.0
+            if count > 1:
+                _fill_tiles(table, a, b, c, d)
     return _require_finite(table)
 
 
-def _fill_rows(grid: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
-    """Run the recurrence over a grid of shape ``(rows, cols, ...)``, row by row.
-
-    Row 0 and column 0 hold the boundary, row -1 and column -1 of the block
-    the rest covers, with the corner at ``[0, 0]``; the rest is filled.
-    Trailing axes ride along, so one call fills a tile from many boundaries.
-    Row n is the first-order recurrence ``y[j] = (b/d) y[j-1] + u[j]`` in j,
-    with ``u[j] = (a y'[j-1] - c y'[j]) / d`` for j >= 1 and the row y'
-    above it, from its boundary ``y[0]``, solved by the doubling scan
-    ``y[s:] += (b/d)**s y[:-s]`` for s = 1, 2, 4, ... (Hillis and Steele):
-    ceil(log2 cols) vector steps per row.  Everything but the rows is set
-    up once per call: the coefficients as numpy scalars, the ufuncs as local
-    names and each step's slice of the work row ``tmp``.
-    """
-    cols = grid.shape[1]
-    a, c, d = (np.complex128(t) for t in (a, c, d))
-    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
-    tmp = np.empty_like(grid[0, 1:])
-    # (s, (b/d)**s, slice of tmp) for s = 1, 2, 4, ... below cols, by repeated squaring.
-    steps, s, ratio = [], 1, np.complex128(b) / d
-    while s < cols:
-        steps.append((s, ratio, tmp[: cols - s]))
-        s, ratio = 2 * s, ratio * ratio
-    for above, y in zip(grid[:-1], grid[1:]):
-        right = y[1:]
-        multiply(above[:-1], a, out=right)
-        multiply(above[1:], c, out=tmp)
-        subtract(right, tmp, out=right)
-        divide(right, d, out=right)
-        for s, ratio, part in steps:
-            multiply(y[:-s], ratio, out=part)
-            add(y[s:], part, out=y[s:])
-
-
-# The edge of the square tiles of _fill_tiles.
+# The edge of the square tiles of _fill_tiles, and the largest transfer power.
 _TILE = 8
 
 
-def _scanned(count: int, degree: int) -> bool:
-    """Whether :func:`mobius_powers` fills its ``(degree+1, count)`` table by the row scan.
+def _short_height(count: int) -> int:
+    """Rows of the transfer powers that fill a short table of ``count`` powers."""
+    return max(_TILE, (int(count).bit_length() - 1) ** 2 // 4)
 
-    A table of at most ``_TILE`` rows is one tile row, which the scan fills
-    in fewer Python steps than the tiles take, whatever its count.  Past
-    that the bound ``(log2(count) / 2)**2`` rows follows the measured
-    crossover of the two fills (see :func:`mobius_powers`); it stays below a
-    third of ``count``, so a square or tall table of more rows is tiled.
+
+def _scanned(count: int, degree: int) -> bool:
+    """Whether :func:`mobius_powers` fills its ``(degree+1, count)`` table from transfer powers.
+
+    A table of at most ``_TILE`` rows is one tile row, which the transfer
+    powers fill in fewer Python steps than the tiles take, whatever its
+    count.  Past that the bound ``(log2(count) / 2)**2`` rows was measured
+    as the crossover of the tiles and the row scan that filled short tables
+    before the transfer powers (see CHANGES.md).  The transfer powers are
+    faster than that scan, so the bound is conservative; it is kept so that
+    no table changes fill.  It stays below a third of ``count``, so a square
+    or tall table of more rows is tiled.
     """
-    return degree < max(_TILE, (int(count).bit_length() - 1) ** 2 // 4)
+    return degree < _short_height(count)
+
+
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column ``col``: multiplication by its series."""
+    i = np.arange(col.size)
+    lag = i[:, None] - i[None, :]
+    return np.where(lag >= 0, col[lag], 0.0)
+
+
+def _transfer_powers(a: complex, b: complex, c: complex, d: complex, height: int) -> np.ndarray:
+    """``M, ..., M**_TILE`` for the column transfer ``M`` on ``height`` rows, transposed and side by side.
+
+    ``M`` multiplies a column of the power table by ``phi``, cut at ``height``
+    rows: the lower-triangular Toeplitz matrix of the series of ``phi``,
+    ``m[0] = b/d`` and ``m[n] = ((a - c b/d)/d) (-c/d)**(n-1)``.  The result
+    has shape ``(h, _TILE, h)``, ``power[:, p - 1]`` the transpose of
+    ``M**p``, so ``power.reshape(h, -1)`` is ``[M.T, ..., (M**_TILE).T]``
+    side by side.  The powers of ``M.T`` commute, so they come by doubling
+    in three products: the square, then the square times the first two,
+    then the fourth power times the first four.
+    """
+    ratio = -c / d
+    col = np.empty(height, dtype=np.complex128)
+    col[0] = b / d
+    col[1:] = (a + ratio * b) / d * ratio ** np.arange(height - 1)
+    power = np.empty((height, _TILE, height), dtype=np.complex128)
+    side = power.reshape(height, -1)
+    power[:, 0] = _lower_toeplitz(col).T
+    np.matmul(power[:, 0], power[:, 0], out=power[:, 1])
+    np.matmul(power[:, 1], side[:, : 2 * height], out=side[:, 2 * height : 4 * height])
+    np.matmul(power[:, 3], side[:, : 4 * height], out=side[:, 4 * height :])
+    return power
+
+
+def _short_table(a: complex, b: complex, c: complex, d: complex, count: int, rows: int) -> np.ndarray:
+    """The top ``rows`` rows of the power table of height :func:`_short_height`, column-major.
+
+    Column j of the table is row j of a row-major array, ``M**j e0`` for the
+    transfer ``M`` on ``h`` rows.  Column ``B J`` (B is ``_TILE``) is
+    ``(M**B)**J e0``, all of them by doubling: ``M**B`` times the first
+    column, ``M**2B`` times the first two, and so on.  Then one product
+    gives columns ``B J + 1 .. B J + B`` as ``M, ..., M**B`` times column
+    ``B J``, for every J.
+    """
+    height = _short_height(count)
+    blocks = -(-(count - 1) // _TILE)
+    columns = np.empty((1 + _TILE * blocks, height), dtype=np.complex128)
+    columns[0] = 0.0
+    columns[0, 0] = 1.0
+    if blocks:
+        power = _transfer_powers(a, b, c, d, height)
+        left = np.zeros((blocks, height), dtype=np.complex128)  # left[J] = column B J
+        left[0, 0] = 1.0
+        step, done = power[:, -1], 1
+        while done < blocks:
+            more = min(done, blocks - done)
+            np.matmul(left[:more], step, out=left[done : done + more])
+            done += more
+            if done < blocks:
+                step = step @ step
+        np.matmul(left, power.reshape(height, -1), out=columns[1:].reshape(blocks, -1))
+    return columns[:count, :rows].T
 
 
 def _tile_response(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
@@ -286,15 +318,26 @@ def _tile_response(a: complex, b: complex, c: complex, d: complex) -> np.ndarray
     ``response[n, j, k]`` is entry ``(n, j)`` of the tile filled from the
     unit boundary k.  The boundary is ordered as the top row (row -1,
     columns 0..), the corner (row -1, column -1), then the left column
-    (column -1, rows 0..).
+    (column -1, rows 0..).  Within a tile the recurrence reads
+    ``x[j] = M x[j-1] + g (a t[j-1] - c t[j])`` for its columns x, its top
+    row t (``t[-1]`` the corner) and g the series of ``1/(d + c z)``, so
+    with the transfer powers on ``_TILE`` rows: left unit i gives column i
+    of ``M**(j+1)``, the corner ``a M**j g``, and top unit k gives
+    ``-c M**(j-k) g + a M**(j-k-1) g``, zero for j < k.
     """
+    power = _transfer_powers(a, b, c, d, _TILE)
+    gains = np.empty((_TILE, _TILE), dtype=np.complex128)  # gains[p] = M**p g
+    gains[0] = (-c / d) ** np.arange(_TILE) / d
+    np.matmul(gains[0], power.reshape(_TILE, -1)[:, : _TILE * (_TILE - 1)], out=gains[1:].reshape(-1))
+    top = -c * gains
+    top[1:] += a * gains[:-1]
     k = np.arange(_TILE)
-    grid = np.zeros((_TILE + 1, _TILE + 1, 2 * _TILE + 1), dtype=np.complex128)
-    grid[0, k + 1, k] = 1.0
-    grid[0, 0, _TILE] = 1.0
-    grid[k + 1, 0, _TILE + 1 + k] = 1.0
-    _fill_rows(grid, a, b, c, d)
-    return grid[1:, 1:]
+    lag = k[:, None] - k[None, :]
+    response = np.empty((_TILE, _TILE, 2 * _TILE + 1), dtype=np.complex128)
+    response[:, :, :_TILE] = np.where(lag >= 0, top.T[:, lag], 0.0)
+    response[:, :, _TILE] = a * gains.T
+    response[:, :, _TILE + 1 :] = power.transpose(2, 1, 0)
+    return response
 
 
 def _fill_tiles(table: np.ndarray, a: complex, b: complex, c: complex, d: complex) -> None:
@@ -311,8 +354,7 @@ def _fill_tiles(table: np.ndarray, a: complex, b: complex, c: complex, d: comple
     matrix product per in-tile row n fills rows n, n + B, ... of the table
     from the boundaries and ``R[n]``.
 
-    About (degree + count)/B Python steps, against about 2 log2(count) per
-    row for the row scan.  Memory is the table plus the store,
+    About (degree + count)/B Python steps.  Memory is the table plus the store,
     ``(2B + 1)/B**2`` of it (0.27 at B = 8), plus a ``1/B`` share for the
     products of one in-tile row.
     """

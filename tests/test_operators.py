@@ -446,7 +446,7 @@ def test_hardy_adjoint_monomial_is_the_conjugate_power(alpha):
 @pytest.mark.parametrize("beta", [-1, 0, 1, 2.5])
 def test_matrices_of_one_tile_are_blocks_of_a_larger_matrix(beta):
     # The blocks of verify_hurst and `matrix --dim` up to 8 are bitwise those of
-    # larger matrices, although their tables are scanned and the larger ones tiled.
+    # larger matrices, although their tables are short and the larger ones tiled.
     params = SpaceParams(beta)
     for phi in [*_LFT_SYMBOLS, rotation(np.exp(0.4j))]:
         full = composition_matrix(phi, params, 40).mat
@@ -497,8 +497,8 @@ def test_composition_matrix_allocates_its_result_once(symbol, degree):
     ids=["scanned-map", "series"],
 )
 def test_composition_matrix_keeps_the_table_it_fills(symbol):
-    # Both tables are views of the array the fill wrote: below the scan's zero
-    # row, or the transpose of the row-major series table.  A copy has no base.
+    # Both tables are views of the array the fill wrote: the top rows of a short
+    # table, or the transpose of the row-major series table.  A copy has no base.
     mat = composition_matrix(symbol, SpaceParams(0), _TILE - 1).mat
     assert mat.base is not None
     assert not mat.base.flags.writeable

@@ -29,9 +29,17 @@ from bergman_csym import (
     to_series,
 )
 from bergman_csym.lft import power_table
-from bergman_csym.series import _TILE, _fill_rows, _require_finite, _scanned, mobius_powers, powers
+from bergman_csym.series import (
+    _TILE,
+    _require_finite,
+    _scanned,
+    _short_height,
+    _tile_response,
+    mobius_powers,
+    powers,
+)
 import exact
-from helpers import horner_compose, kernel_check_map, power_loop
+from helpers import _fill_rows, horner_compose, kernel_check_map, power_loop
 
 
 def conv_oracle(f, g, degree):
@@ -491,7 +499,7 @@ def test_power_table_within_bound_of_power_loop(a, b, radius, turn, degree):
 @pytest.mark.parametrize("degree", [0, 1, 7, 12])
 @pytest.mark.parametrize("name", sorted(_EXACT_MAPS))
 def test_short_power_table_within_bound_of_exact(name, degree):
-    # Up to _TILE rows the table is filled row by row, each row by a scan; 13 rows are tiled.
+    # Up to _TILE rows the table is short, filled from transfer powers; 13 rows are tiled.
     table = power_table(_EXACT_MAPS[name], _EXACT_DEGREE + 1, degree)
     reference = _exact_table(name)[: degree + 1]
     ratio = exact.max_error_ratio(table, reference, exact.power_table_bound(_EXACT_DEGREE))
@@ -508,7 +516,7 @@ def test_power_table_rows_do_not_depend_on_degree(count):
         bound = float(exact.power_table_bound(200)) * np.max(np.abs(full))
         for degree in (0, 1, 2, 7, 31, 64, 199):
             table = power_table(phi, count, degree)
-            if _scanned(count, degree):  # filled row by row
+            if _scanned(count, degree):  # short, at a height fixed by count
                 assert table.tobytes() == tallest_scanned[: degree + 1].tobytes()
                 assert np.max(np.abs(table - full[: degree + 1])) <= bound
             else:
@@ -585,12 +593,65 @@ def test_short_wide_table_past_the_crossover_is_tiled(count, rows):
         assert table.tobytes() == power_table(phi, count, count - 1)[:rows].tobytes(), name
 
 
+@pytest.mark.parametrize("count", [2, 9, 10, 65, 129, 257, 513, 1025])
+def test_short_table_within_bound_of_whole_table_recurrence(count):
+    # Short tables come from transfer powers at a height fixed by count; at
+    # 1 row, one tile row and that height they stay within the power-table
+    # bound of the row scan they replaced, run over the whole table.
+    for rows in (1, _TILE, _short_height(count)):
+        assert _scanned(count, rows - 1)
+        for name, phi in sorted(_TILED_MAPS.items()):
+            table = power_table(phi, count, rows - 1)
+            reference = _whole_table(phi, count, rows - 1)
+            bound = float(exact.power_table_bound(count - 1)) * np.max(np.abs(reference))
+            assert np.max(np.abs(table - reference)) <= bound, (name, rows)
+            if name == "rotation":  # phi**j = (e^{0.4i} z)**j: only T[j, j] is nonzero
+                n, j = np.indices(table.shape)
+                assert not table[n != j].any()
+
+
+def _scanned_tile_response(a, b, c, d):
+    """The tile response by the row scan from the 17 unit boundaries, as the tiles were first built."""
+    k = np.arange(_TILE)
+    grid = np.zeros((_TILE + 1, _TILE + 1, 2 * _TILE + 1), dtype=np.complex128)
+    grid[0, k + 1, k] = 1.0
+    grid[0, 0, _TILE] = 1.0
+    grid[k + 1, 0, _TILE + 1 + k] = 1.0
+    _fill_rows(grid, a, b, c, d)
+    return grid[1:, 1:]
+
+
+_RESPONSE_MAPS = {**_TILED_MAPS, **_EXACT_MAPS}
+
+
+@pytest.mark.parametrize("name", sorted(_RESPONSE_MAPS))
+def test_tile_response_from_transfer_powers_matches_the_scanned_response(name):
+    # Within 16 ulps of the largest entry: 12.9 on the near-circle map, at most 1.2 on the others.
+    phi = _RESPONSE_MAPS[name]
+    coeffs = tuple(complex(t) for t in (phi.a, phi.b, phi.c, phi.d))
+    response = _tile_response(*coeffs)
+    reference = _scanned_tile_response(*coeffs)
+    assert response.shape == reference.shape
+    assert np.max(np.abs(response - reference)) <= 16 * 2.0**-52 * np.max(np.abs(reference))
+
+
+def test_short_table_that_overflows_past_its_rows_is_refused():
+    # A short table is computed at the height fixed by its count (16 rows at
+    # 257 powers), so a map that is not a self-map overflows below the two
+    # rows asked for, and NaN from those rows reaches them through the products.
+    assert _short_height(257) == 16
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        mobius_powers(1e40, 0.5, 0, 1, 257, 1)
+    # Within one tile row the table stays finite.
+    assert np.isfinite(mobius_powers(1e40, 0.5, 0, 1, 9, 1)).all()
+
+
 @pytest.mark.parametrize("cols", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
 @pytest.mark.parametrize("rows", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
 def test_partial_tile_and_tall_tables_within_bound_of_exact(rows, cols):
     # rows = degree + 1 and cols = count - 1, the columns after column 0;
     # rows > cols is a tall table, and a table of at most _TILE rows is
-    # filled row by row.
+    # short.
     degree, count = rows - 1, cols + 1
     bound = exact.power_table_bound(max(degree, count - 1))
     for name, phi in sorted(_EXACT_MAPS.items()):
@@ -601,8 +662,8 @@ def test_partial_tile_and_tall_tables_within_bound_of_exact(rows, cols):
 
 @pytest.mark.parametrize("count", [10, 17, 23])
 def test_rows_of_a_table_one_tile_high_do_not_depend_on_degree(count):
-    # A table of at most _TILE rows is filled row by row whatever its count:
-    # its rows are bitwise those of the table of _TILE rows, and within the
+    # A table of at most _TILE rows is short whatever its count: its rows
+    # are bitwise those of the table of _TILE rows, and within the
     # power-table bound of a tiled table.
     for phi in (involution(0.3 + 0.4j), hyperbolic_model(0.5), _DYADIC_MAPS["contraction-0.9"]):
         scanned = power_table(phi, count, _TILE - 1)
