@@ -5,14 +5,19 @@ Conventions shared by every subcommand:
 * Complex arguments are written ``re,im`` (``0.5,0``) or as a bare real
   (``0.5``).  No expression parsing.
 * Maps are given by coefficients ``--a --b --c --d`` for (a z + b)/(c z + d),
-  or, where noted, by ``--about``/``--factor`` for the conjugated dilation
-  built from the involution at ``--about``.
+  or by ``--about``/``--factor`` for the conjugated dilation built from the
+  involution at ``--about``.  Mixing the two forms, or ``--factor`` without
+  ``--about``, exits 2.
 * JSON payloads carry a top-level ``"schema": "bergman-csym/1"`` key, fixed
-  field order, floats with 17 significant digits, complex values as
-  ``[re, im]`` pairs.  Identical invocations produce byte-identical output.
+  field order and floats with 17 significant digits.  Every complex value
+  is an ``[re, im]`` pair, and a matrix is the row-major list of its
+  entries.  Identical invocations produce byte-identical output.
+* CSV layouts: ``matrix`` rows are the real block then the imaginary block,
+  ``gram`` rows are ``n,m,re,im`` and ``iterate`` rows are ``n,re,im``.
 * With ``--output PATH`` the payload goes to the file and a one-line human
   summary goes to standard output; without it the payload goes to standard
-  output and the summary to standard error.
+  output and the summary to standard error.  A path that cannot be written
+  exits 2 with nothing on standard output.
 * Exit codes: 0 success, 2 usage or validation error, 3 internal numerical
   failure.
 """
@@ -63,30 +68,20 @@ def _degree_from_dim(dim: int) -> int:
 
 
 def _symbol_from_args(args) -> Lft:
-    """Build the map from --about/--factor or from --a/--b/--c/--d."""
+    """Build the map from --about/--factor or from --a/--b/--c/--d, never from both."""
+    coeffs = [getattr(args, name) for name in "abcd"]
+    given = ", ".join(f"--{name}" for name, v in zip("abcd", coeffs) if v is not None)
     if args.about is not None:
+        if given:
+            raise InvalidInputError(f"--about builds the map, so {given} cannot be given with it")
         factor = args.factor if args.factor is not None else complex(1.0)
         return dilation_about(args.about, factor)
-    coeffs = [getattr(args, name) for name in "abcd"]
-    if all(v is None for v in coeffs):
+    if args.factor is not None:
+        raise InvalidInputError("--factor needs --about")
+    if not given:
         raise ToolkitError("no map given: pass --a/--b/--c/--d or --about")
     a, b, c, d = (complex(0.0) if v is None else v for v in coeffs)
     return make(a, b, c, d)
-
-
-def _add_symbol_flags(sub) -> None:
-    sub.add_argument("--a", type=_complex_arg, default=None, help="coefficient a")
-    sub.add_argument("--b", type=_complex_arg, default=None, help="coefficient b")
-    sub.add_argument("--c", type=_complex_arg, default=None, help="coefficient c")
-    sub.add_argument("--d", type=_complex_arg, default=None, help="coefficient d")
-    sub.add_argument(
-        "--about", type=_complex_arg, default=None,
-        help="build the dilation conjugated by the involution at this point",
-    )
-    sub.add_argument(
-        "--factor", type=_complex_arg, default=None,
-        help="dilation factor used with --about (default 1)",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +94,8 @@ def _f(x) -> str:
     return format(v, ".17g")
 
 
-def _c(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _json_value(value) -> str:
-    # Dict order is emission order.
+    # Dict order is emission order; a complex value is [re, im], an array its nested lists.
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -114,6 +104,10 @@ def _json_value(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _f(value)
+    if isinstance(value, complex):
+        return f"[{_f(value.real)},{_f(value.imag)}]"
+    if isinstance(value, np.ndarray):
+        return _json_value(value.tolist())
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, dict):
@@ -130,8 +124,8 @@ def _json_payload(fields: dict) -> str:
     return _json_value(doc) + "\n"
 
 
-def _csv_rows(rows) -> str:
-    return "\n".join(",".join(_f(cell) for cell in row) for row in rows) + "\n"
+def _csv_rows(table: np.ndarray) -> str:
+    return "\n".join(",".join(_f(cell) for cell in row) for row in table.tolist()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +145,12 @@ def _cmd_classify(args):
     if report.kind is not MapKind.IDENTITY:
         fps = fixed_points(phi)
         fields["fixed_points"] = [
-            {"point": _c(p) if np.isfinite(p) else "inf", "location": loc, "multiplier": _c(m)}
+            {"point": p if np.isfinite(p) else "inf", "location": loc, "multiplier": m}
             for p, loc, m in zip(fps.points, fps.locations, fps.multipliers)
         ]
         dw = denjoy_wolff(phi)
-        fields["dw"], fields["dw_route"] = _c(dw.point), dw.route
-        re, im = fields["dw"]
+        fields["dw"], fields["dw_route"] = dw.point, dw.route
+        re, im = dw.point.real, dw.point.imag
         summary += f" dw={_f(re)}{'+' if im >= 0 else ''}{_f(im)}j route={dw.route}"
     return _json_payload(fields), summary
 
@@ -164,7 +158,7 @@ def _cmd_classify(args):
 def _cmd_series(args):
     phi = _symbol_from_args(args)
     f = to_series(phi, args.degree)
-    fields = {"degree": args.degree, "coefficients": [_c(z) for z in f.coeffs]}
+    fields = {"degree": args.degree, "coefficients": f.coeffs}
     head = ", ".join(_f(z.real) + ("" if z.imag == 0 else f"{z.imag:+g}j") for z in f.coeffs[:4])
     return _json_payload(fields), f"series degree {args.degree}: {head}, ..."
 
@@ -174,15 +168,9 @@ def _cmd_matrix(args):
     params = SpaceParams(args.beta)
     op = composition_matrix(phi, params, _degree_from_dim(args.dim))
     if args.format == "csv":
-        rows = [list(r.real) + list(r.imag) for r in op.mat]
-        payload = _csv_rows(rows)
+        payload = _csv_rows(np.hstack([op.mat.real, op.mat.imag]))
     else:
-        fields = {
-            "beta": args.beta,
-            "dim": args.dim,
-            "entries": [_c(z) for z in op.mat.reshape(-1)],
-        }
-        payload = _json_payload(fields)
+        payload = _json_payload({"beta": args.beta, "dim": args.dim, "entries": op.mat.reshape(-1)})
     norm = float(np.linalg.norm(op.mat))
     return payload, f"matrix {args.dim}x{args.dim} frobenius={_f(norm)}"
 
@@ -223,18 +211,15 @@ def _cmd_gram(args):
             raise ToolkitError("non-integer beta needs --dim for the truncated route")
         table = gram_truncated(params, args.alpha, args.n, degree)
     if args.format == "csv":
-        rows = [
-            (n, m, table.entries[n, m].real, table.entries[n, m].imag)
-            for n in range(table.size)
-            for m in range(table.size)
-        ]
-        payload = _csv_rows(rows)
+        n, m = np.divmod(np.arange(table.size**2), table.size)
+        entries = table.entries.reshape(-1)
+        payload = _csv_rows(np.column_stack([n, m, entries.real, entries.imag]))
     else:
         fields = {
             "beta": args.beta,
-            "alpha": _c(args.alpha),
+            "alpha": args.alpha,
             "size": table.size,
-            "entries": [_c(z) for z in table.entries.reshape(-1)],
+            "entries": table.entries.reshape(-1),
             "max_in_band": table.max_in_band(),
             "max_out_of_band": table.max_out_of_band(),
         }
@@ -251,7 +236,7 @@ def _cmd_subspace(args):
     report = subspace_orthogonality(params, args.alpha, args.order, args.count)
     fields = {
         "beta": args.beta,
-        "alpha": _c(args.alpha),
+        "alpha": args.alpha,
         "order": args.order,
         "count": args.count,
         "threshold": report.threshold,
@@ -266,9 +251,9 @@ def _cmd_witness(args):
     report = obstruction_witness(args.alpha, args.beta)
     fields = {
         "beta": args.beta,
-        "alpha": _c(args.alpha),
-        "direct": _c(report.direct),
-        "truncated": _c(report.truncated),
+        "alpha": args.alpha,
+        "direct": report.direct,
+        "truncated": report.truncated,
         "difference": report.difference,
     }
     return (
@@ -287,8 +272,8 @@ def _cmd_csym(args):
         "dim": args.dim,
         "iters": args.iters,
         "seed": args.seed,
-        "best_trace": list(result.best_trace),
-        "residuals": list(result.residuals),
+        "best_trace": result.best_trace,
+        "residuals": result.residuals,
         "final_residual": result.best_trace[-1],
     }
     sub = elliptic_certificate(phi, params)
@@ -307,15 +292,15 @@ def _cmd_iterate(args):
     phi = _symbol_from_args(args)
     report = iterate(phi, args.start, args.steps)
     if args.format == "csv":
-        rows = [(n, z.real, z.imag) for n, z in enumerate(report.iterates)]
-        payload = _csv_rows(rows)
+        orbit = report.iterates
+        payload = _csv_rows(np.column_stack([np.arange(len(orbit)), orbit.real, orbit.imag]))
     else:
         fields = {
-            "start": _c(args.start),
+            "start": args.start,
             "steps": len(report.iterates) - 1,
             "converged": report.converged,
-            "limit": None if report.limit is None else _c(report.limit),
-            "iterates": [_c(z) for z in report.iterates],
+            "limit": report.limit,
+            "iterates": report.iterates,
         }
         payload = _json_payload(fields)
     if report.converged:
@@ -332,7 +317,7 @@ def _cmd_eigencheck(args):
     residual = hurst_eigencheck(args.s, args.exponent, params, degree, block)
     fields = {
         "beta": args.beta,
-        "s": _c(args.s),
+        "s": args.s,
         "exponent": args.exponent,
         "dim": args.dim,
         "block": block,
@@ -351,85 +336,72 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub):
-        sub.add_argument("--output", default=None, help="write payload to this file")
+    # flags shared between subcommands, each declared once in a parent parser
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="write payload to this file")
+    symbol = argparse.ArgumentParser(add_help=False)
+    for name in "abcd":
+        symbol.add_argument(f"--{name}", type=_complex_arg, help=f"coefficient {name}")
+    symbol.add_argument("--about", type=_complex_arg,
+                        help="build the dilation conjugated by the involution at this point")
+    symbol.add_argument("--factor", type=_complex_arg,
+                        help="dilation factor used with --about (default 1)")
+    beta = argparse.ArgumentParser(add_help=False)
+    beta.add_argument("--beta", type=float, required=True)
 
-    p = subs.add_parser("classify", help="classify a disk self-map")
-    _add_symbol_flags(p)
-    common(p)
+    subs.add_parser("classify", parents=[output, symbol], help="classify a disk self-map")
 
-    p = subs.add_parser("series", help="Taylor coefficients of a map")
-    _add_symbol_flags(p)
+    p = subs.add_parser("series", parents=[output, symbol], help="Taylor coefficients of a map")
     p.add_argument("--degree", type=int, default=16)
-    common(p)
 
-    p = subs.add_parser("matrix", help="truncated composition matrix")
-    _add_symbol_flags(p)
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("matrix", parents=[output, symbol, beta], help="truncated composition matrix")
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv rows are [real block | imag block]")
-    common(p)
 
-    p = subs.add_parser("kernel-check", help="reproducing identity on random cases")
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("kernel-check", parents=[output, beta], help="reproducing identity on random cases")
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--cases", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
 
-    p = subs.add_parser("hurst-check", help="adjoint factorization residual")
-    _add_symbol_flags(p)
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("hurst-check", parents=[output, symbol, beta], help="adjoint factorization residual")
     p.add_argument("--dim", type=int, default=256)
     p.add_argument("--block", type=int, default=8)
-    common(p)
 
-    p = subs.add_parser("gram", help="adjoint-image Gram table")
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("gram", parents=[output, beta], help="adjoint-image Gram table")
     p.add_argument("--alpha", type=_complex_arg, required=True)
     p.add_argument("--n", type=int, default=12, help="table size")
     p.add_argument("--dim", type=int, default=None,
                    help="truncation dimension (required for non-integer beta)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv rows are n,m,re,im")
-    common(p)
 
-    p = subs.add_parser("subspace", help="cross-Gram certificate for eigenspace orthogonality")
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("subspace", parents=[output, beta],
+                        help="cross-Gram certificate for eigenspace orthogonality")
     p.add_argument("--alpha", type=_complex_arg, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--count", type=int, default=4)
-    common(p)
 
-    p = subs.add_parser("witness", help="two-route obstruction value")
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("witness", parents=[output, beta], help="two-route obstruction value")
     p.add_argument("--alpha", type=_complex_arg, required=True)
-    common(p)
 
-    p = subs.add_parser("csym", help="conjugation search residual trace")
-    _add_symbol_flags(p)
-    p.add_argument("--beta", type=float, required=True)
+    p = subs.add_parser("csym", parents=[output, symbol, beta], help="conjugation search residual trace")
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--iters", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
 
-    p = subs.add_parser("iterate", help="orbit of a point under the map")
-    _add_symbol_flags(p)
+    p = subs.add_parser("iterate", parents=[output, symbol], help="orbit of a point under the map")
     p.add_argument("--start", type=_complex_arg, required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="csv rows are n,re,im")
-    common(p)
 
-    p = subs.add_parser("eigencheck", help="eigen-relation residual for affine symbols")
+    p = subs.add_parser("eigencheck", parents=[output], help="eigen-relation residual for affine symbols")
     p.add_argument("--s", type=_complex_arg, required=True)
     p.add_argument("--exponent", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--dim", type=int, default=512)
     p.add_argument("--block", type=int, default=None)
-    common(p)
 
     return parser
 
@@ -465,8 +437,12 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(summary)
     else:
         sys.stdout.write(payload)

@@ -1,5 +1,6 @@
 """Command-line front end: payload shapes, formats, determinism, exit codes."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -447,6 +448,8 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["gram", "--beta", "600", "--alpha", "0.95", "--n", "12"],
         ["witness", "--beta", "1e300", "--alpha", "0.5"],
         ["gram", "--beta", "1020", "--alpha", "0.5", "--n", "300"],
+        ["classify", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--factor", "2"],
+        ["classify", "--about", "0.3", "--factor", "0,1", "--a", "5", "--d", "1"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
@@ -455,7 +458,8 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
          "csym-iters-negative", "csym-iters-0", "csym-seed-negative", "iterate-nan-seed-0-steps",
          "iterate-nan-seed-3-steps", "kernel-check-weight-underflow", "matrix-weight-underflow",
          "matrix-noninteger-weight-underflow", "gram-binomial-overflow", "subspace-binomial-overflow",
-         "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta", "gram-sum-overflow"],
+         "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta", "gram-sum-overflow",
+         "factor-without-about", "about-with-coefficients"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -506,3 +510,142 @@ def test_no_command_loads_scipy():
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# --- pinned bytes ------------------------------------------------------
+
+_ROTATION = ["--a", "0,1", "--b", "0", "--c", "0", "--d", "1"]
+_HEAD = '{"schema":"bergman-csym/1",'
+
+
+@pytest.mark.parametrize(
+    "argv,out,err",
+    [
+        (["classify", *_SHIFT],
+         _HEAD + '"kind":"loxodromic","is_automorphism":false,"fixed_points":['
+         '{"point":[0,0],"location":"interior","multiplier":[0.5,0]},'
+         '{"point":"inf","location":"exterior","multiplier":[2,0]}],'
+         '"dw":[0,0],"dw_route":"interior-fixed-point"}\n',
+         "kind=loxodromic dw=0+0j route=interior-fixed-point\n"),
+        (["classify", *_ROTATION],
+         _HEAD + '"kind":"rotation-like-elliptic","is_automorphism":true,"fixed_points":['
+         '{"point":[0,0],"location":"interior","multiplier":[0,1]},'
+         '{"point":"inf","location":"exterior","multiplier":[0,-1]}],'
+         '"dw":[0,0],"dw_route":"elliptic-no-dw"}\n',
+         "kind=rotation-like-elliptic dw=0+0j route=elliptic-no-dw\n"),
+        (["series", *_ROTATION, "--degree", "3"],
+         _HEAD + '"degree":3,"coefficients":[[0,0],[0,1],[0,0],[0,0]]}\n',
+         "series degree 3: 0, 0+1j, 0, 0, ...\n"),
+        (["matrix", "--beta", "0", *_SHIFT, "--dim", "3"],
+         _HEAD + '"beta":0,"dim":3,"entries":'
+         '[[1,0],[0,0],[0,0],[0,0],[0.5,0],[0,0],[0,0],[0,0],[0.25,0]]}\n',
+         "matrix 3x3 frobenius=1.14564392373896\n"),
+        (["matrix", "--beta", "0", *_SHIFT, "--dim", "3", "--format", "csv"],
+         "1,0,0,0,0,0\n0,0.5,0,0,0,0\n0,0,0.25,0,0,0\n",
+         "matrix 3x3 frobenius=1.14564392373896\n"),
+        (["matrix", "--beta", "1", *_ROTATION, "--dim", "3"],
+         _HEAD + '"beta":1,"dim":3,"entries":'
+         '[[1,0],[0,0],[0,0],[0,0],[0,1],[0,0],[0,0],[0,0],[-1,0]]}\n',
+         "matrix 3x3 frobenius=1.7320508075688772\n"),
+        (["matrix", "--beta", "1", *_ROTATION, "--dim", "3", "--format", "csv"],
+         "1,0,0,0,0,0\n0,0,0,0,1,0\n0,0,-1,0,0,0\n",
+         "matrix 3x3 frobenius=1.7320508075688772\n"),
+        (["hurst-check", "--beta", "0", *_ROTATION, "--dim", "16", "--block", "2"],
+         _HEAD + '"beta":0,"dim":16,"block":2,"residual":0}\n',
+         "factorization residual 0 on 2x2 block\n"),
+        (["gram", "--beta", "0", "--alpha", "0", "--n", "2"],
+         _HEAD + '"beta":0,"alpha":[0,0],"size":2,"entries":[[1,0],[0,0],[0,0],[0.5,0]],'
+         '"max_in_band":1,"max_out_of_band":0}\n',
+         "gram 2x2: max in-band 1, max out-of-band 0\n"),
+        (["gram", "--beta", "0", "--alpha", "0", "--n", "2", "--format", "csv"],
+         "0,0,1,0\n0,1,0,0\n1,0,0,0\n1,1,0.5,0\n",
+         "gram 2x2: max in-band 1, max out-of-band 0\n"),
+        (["subspace", "--beta", "0", "--alpha", "0.5", "--order", "6", "--count", "2"],
+         _HEAD + '"beta":0,"alpha":[0.5,0],"order":6,"count":2,"threshold":6,'
+         '"guaranteed":true,"max_cross":0}\n',
+         "max cross inner product 0 [guaranteed]\n"),
+        (["witness", "--beta", "0", "--alpha", "0.5"],
+         _HEAD + '"beta":0,"alpha":[0.5,0],"direct":[0.125,0],"truncated":[0.125,0],"difference":0}\n',
+         "witness |alpha|^(3+beta) = 0.125, routes differ by 0\n"),
+        (["csym", "--beta", "0", *_ROTATION, "--dim", "4", "--iters", "2"],
+         _HEAD + '"beta":0,"dim":4,"iters":2,"seed":0,"best_trace":[0],"residuals":[0],'
+         '"final_residual":0,"subspace_certificate":null}\n',
+         "search residual 0 after 1 iterations\n"),
+        (["iterate", *_SHIFT, "--start", "0.5", "--steps", "3"],
+         "0,0.5,0\n1,0.25,0\n2,0.125,0\n3,0.0625,0\n",
+         "orbit did not settle in 3 steps\n"),
+        (["iterate", *_ROTATION, "--start", "0.5", "--steps", "4", "--format", "json"],
+         _HEAD + '"start":[0.5,0],"steps":4,"converged":false,"limit":null,'
+         '"iterates":[[0.5,0],[0,0.5],[-0.5,0],[0,-0.5],[0.5,0]]}\n',
+         "orbit did not settle in 4 steps\n"),
+        (["eigencheck", "--s", "0.5", "--exponent", "1", "--dim", "8"],
+         _HEAD + '"beta":0,"s":[0.5,0],"exponent":1,"dim":8,"block":1,"residual":0}\n',
+         "eigen-relation residual 0\n"),
+    ],
+    ids=["classify-half", "classify-rotation", "series-rotation", "matrix-json-half",
+         "matrix-csv-half", "matrix-json-rotation", "matrix-csv-rotation", "hurst-check-rotation",
+         "gram-json", "gram-csv", "subspace", "witness", "csym-rotation", "iterate-csv-half",
+         "iterate-json-rotation", "eigencheck"],
+)
+def test_exact_payloads_are_pinned_byte_for_byte(capsys, argv, out, err):
+    # Every number here is exact in binary floating point, so the bytes
+    # pin the serializer, not the numerics behind it.
+    assert run_cli(capsys, argv) == (0, out, err)
+
+
+_SYMBOL_FLAGS = {"--a", "--b", "--c", "--d", "--about", "--factor"}
+_COMMON_FLAGS = {"-h", "--help", "--output"}
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("classify", _SYMBOL_FLAGS),
+        ("series", _SYMBOL_FLAGS | {"--degree"}),
+        ("matrix", _SYMBOL_FLAGS | {"--beta", "--dim", "--format"}),
+        ("kernel-check", {"--beta", "--dim", "--cases", "--seed"}),
+        ("hurst-check", _SYMBOL_FLAGS | {"--beta", "--dim", "--block"}),
+        ("gram", {"--beta", "--alpha", "--n", "--dim", "--format"}),
+        ("subspace", {"--beta", "--alpha", "--order", "--count"}),
+        ("witness", {"--beta", "--alpha"}),
+        ("csym", _SYMBOL_FLAGS | {"--beta", "--dim", "--iters", "--seed"}),
+        ("iterate", _SYMBOL_FLAGS | {"--start", "--steps", "--format"}),
+        ("eigencheck", {"--s", "--exponent", "--beta", "--dim", "--block"}),
+    ],
+)
+def test_each_subcommand_takes_exactly_its_options(command, options):
+    subcommands = next(
+        action.choices for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subcommands) == set(cli._HANDLERS)
+    got = {flag for action in subcommands[command]._actions for flag in action.option_strings}
+    assert got == options | _COMMON_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--factor", "2", *_SHIFT], "--factor needs --about"),
+        (["--about", "0.3", "--a", "5", "--d", "1"], "--about builds the map, so --a, --d cannot be given with it"),
+    ],
+    ids=["factor-without-about", "about-with-coefficients"],
+)
+def test_mixed_symbol_forms_name_the_flags(capsys, argv, message):
+    assert run_cli(capsys, ["classify", *argv]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("make_target", [lambda tmp: tmp / "missing" / "out.json", lambda tmp: tmp],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_with_code_two(capsys, tmp_path, make_target):
+    target = make_target(tmp_path)
+    code, out, err = run_cli(capsys, ["witness", "--beta", "0", "--alpha", "0.5", "--output", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_csym_near_the_circle_carries_its_certificate(capsys):
+    doc = payload(capsys, ["csym", "--beta", "0", "--about", "0.999",
+                           "--factor", "0.7071067811865476,0.7071067811865476", "--dim", "6", "--iters", "2"])
+    assert doc["subspace_certificate"]["order"] == 8

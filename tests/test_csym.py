@@ -606,6 +606,15 @@ def test_elliptic_certificate_needs_high_order_elliptic_automorphism():
     assert elliptic_certificate(dilation_about(0.3, np.exp(2j * np.pi / 8)), noninteger) is None
 
 
+def test_elliptic_certificate_near_the_circle_reads_the_order_off_the_unit_multiplier():
+    # The computed multiplier drifts off the circle by 1.7e-11 at |alpha| = 0.999,
+    # past the 1e-12 that elliptic_order demands of it.
+    factor = np.exp(2j * np.pi / 8)
+    report = elliptic_certificate(dilation_about(0.999, factor), SpaceParams(0))
+    assert (report.order, report.guaranteed) == (8, True)
+    assert elliptic_certificate(dilation_about(0.99999, factor), SpaceParams(0)) is None
+
+
 def test_subspace_small_order_is_flagged_not_certified():
     report = subspace_orthogonality(SpaceParams(0), 0.5, 3, 3)
     assert not report.guaranteed
