@@ -635,10 +635,9 @@ def test_mixed_symbol_forms_name_the_flags(capsys, argv, message):
     assert run_cli(capsys, ["classify", *argv]) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("make_target", [lambda tmp: tmp / "missing" / "out.json", lambda tmp: tmp],
-                         ids=["missing-directory", "directory"])
-def test_unwritable_output_exits_with_code_two(capsys, tmp_path, make_target):
-    target = make_target(tmp_path)
+@pytest.mark.parametrize("name", ["missing/out.json", ""], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_with_code_two(capsys, tmp_path, name):
+    target = tmp_path / name
     code, out, err = run_cli(capsys, ["witness", "--beta", "0", "--alpha", "0.5", "--output", str(target)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ")
