@@ -16,8 +16,8 @@ Conventions shared by every subcommand:
   ``gram`` rows are ``n,m,re,im`` and ``iterate`` rows are ``n,re,im``.
 * With ``--output PATH`` the payload goes to the file and a one-line human
   summary goes to standard output; without it the payload goes to standard
-  output and the summary to standard error.  A path that cannot be written
-  exits 2 with nothing on standard output.
+  output and the summary to standard error.  A path that cannot be written,
+  the empty one included, exits 2 with nothing on standard output.
 * Exit codes: 0 success, 2 usage or validation error, 3 internal numerical
   failure.
 """
@@ -205,6 +205,8 @@ def _cmd_gram(args):
     params = SpaceParams(args.beta)
     degree = None if args.dim is None else _degree_from_dim(args.dim)
     if params.integer_beta:
+        if degree is not None:
+            raise InvalidInputError("--dim sets the truncated route, which integer beta does not take")
         table = gram_exact(params, args.alpha, args.n)
     else:
         if degree is None:
@@ -372,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_complex_arg, required=True)
     p.add_argument("--n", type=int, default=12, help="table size")
     p.add_argument("--dim", type=int, default=None,
-                   help="truncation dimension (required for non-integer beta)")
+                   help="truncation dimension (required for non-integer beta, refused for integer beta)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv rows are n,m,re,im")
 
@@ -436,7 +438,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(payload)

@@ -49,14 +49,7 @@ from .operators import (
     from_coords,
 )
 from .series import TruncatedSeries
-from .space import (
-    SpaceParams,
-    _divide_parts,
-    _divisor_weights,
-    inner_product,
-    kernel_series,
-    weights,
-)
+from .space import SpaceParams, _orthonormal, _weighted_rows, weights
 
 __all__ = [
     "ConjugationMatrix",
@@ -182,19 +175,14 @@ def _adjoint_images(params: SpaceParams, alpha: complex, count: int, degree: int
     Coefficient m of image n is ``w(n) conj(T[n, m]) / w(m)`` for the first ``count`` rows
     ``T`` of the involution's power table (within the power-table bound of the square table's
     rows; see :func:`~bergman_csym.series.mobius_powers`), and its coordinate is that times
-    ``sqrt(w(m))``.  The weights enter by square roots, as in the composition matrix: a product
-    ``w(n) T[n, m]`` keeps only a few ulps where ``w(n)`` is subnormal (1e-323 at n = 233,
-    beta = 2000.5).  At ``beta = -1`` every weight is 1 and only the conjugate remains.
+    ``sqrt(w(m))``: the rows in orthonormal coordinates
+    (:func:`~bergman_csym.space._orthonormal`), conjugated, then row n times ``sqrt(w(n))``
+    once more (:func:`~bergman_csym.space._weighted_rows`).  The weights enter by square
+    roots: a product ``w(n) T[n, m]`` keeps only a few ulps where ``w(n)`` is subnormal
+    (1e-323 at n = 233, beta = 2000.5).  At ``beta = -1`` only the conjugate remains.
     """
-    rows = power_table(involution(alpha), degree + 1, count - 1)
-    if params.unit_weights:
-        return np.conjugate(rows, out=rows)
-    sqrtw = np.sqrt(_divisor_weights(params, degree))
-    rows *= sqrtw[:count, None]
-    _divide_parts(rows, sqrtw, rows)
-    np.conjugate(rows, out=rows)
-    rows *= sqrtw[:count, None]
-    return rows
+    rows = _orthonormal(params, power_table(involution(alpha), degree + 1, count - 1))
+    return _weighted_rows(params, np.conjugate(rows, out=rows))
 
 
 @dataclass(frozen=True)
@@ -443,8 +431,9 @@ def obstruction_witness(alpha: complex, beta: float) -> WitnessReport:
 
     The direct route is ``alpha**(3+beta)`` because the pairing with the
     kernel at 0 reads off the value of the power at the origin.  The series
-    route takes the power from the involution's power table and pairs it
-    with the kernel; ``K_0`` is the constant 1, so only row 0 is built.  A
+    route reads that value, coefficient 0 of the power, off row 0 of the
+    involution's power table, the only row built: ``K_0`` is the constant 1
+    and ``w(0) = 1``, so the pairing is that coefficient itself.  A
     nonzero value is the witness: it is exactly the quantity that must
     vanish for a conjugation compatible with the elliptic eigenvector
     structure to exist, so any ``alpha != 0`` certifies the obstruction.
@@ -453,10 +442,8 @@ def obstruction_witness(alpha: complex, beta: float) -> WitnessReport:
     if not float(beta).is_integer():
         raise NonIntegerBetaError(f"witness exponent 3 + beta must be an integer, got {beta}")
     alpha = require_in_disk(alpha)
-    params = SpaceParams(float(beta))
-    exponent = _exact_beta(params.beta) + 3
-    power = TruncatedSeries(power_table(involution(alpha), exponent + 1, 0)[:, exponent])
-    truncated = inner_product(params, power, kernel_series(params, 0.0, 0))
+    exponent = _exact_beta(SpaceParams(beta).beta) + 3
+    truncated = complex(power_table(involution(alpha), exponent + 1, 0)[0, exponent])
     direct = alpha**exponent
     return WitnessReport(
         direct=direct, truncated=truncated, difference=abs(direct - truncated)

@@ -43,15 +43,7 @@ from .errors import (
 from .lft import Lft, involution, make, power_table, scaled, to_series
 from .lft import compose as compose_maps
 from .series import TruncatedSeries, _lower_toeplitz, _require_sizes, binomial_expand, compose, mul, powers
-from .space import (
-    SpaceParams,
-    _divide_parts,
-    _divided_by_weights,
-    _divisor_weights,
-    inner_product,
-    kernel_series,
-    weights,
-)
+from .space import SpaceParams, _divided_by_weights, _orthonormal, inner_product, kernel_series, weights
 
 __all__ = [
     "OperatorMatrix",
@@ -142,22 +134,16 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     tiles whose boundaries take about 0.4 of the matrix's memory beside it
     while they are built; those of a series cut to its degree g from
     repeated convolution, O(D**2 g), one row-major row per power, so the
-    matrix of a series symbol is stored column-major.  The table is rescaled
-    in place, and divided by ``sqrt(w(j))`` part by part in one pass over its
-    float view (:func:`~bergman_csym.space._divide_parts`), so each part is
-    correctly rounded.  At ``beta = -1`` every weight is 1 and the table is
-    returned unweighted: the matrix is the power table itself.
+    matrix of a series symbol is stored column-major.  The table is weighted
+    in place by :func:`~bergman_csym.space._orthonormal`; at ``beta = -1``
+    the matrix is the power table itself.
     """
     _require_sizes(degree=degree)
     if isinstance(symbol, Lft):
         table = power_table(symbol, degree + 1, degree)
     else:
         table = powers(_series_symbol(symbol, degree), degree + 1, degree)
-    if not params.unit_weights:
-        sqrtw = np.sqrt(_divisor_weights(params, degree))
-        # Scaled in place: at degree 1024 every temporary matrix is another 17 MB.
-        table *= sqrtw[:, None]
-        _divide_parts(table, sqrtw, table)
+    _orthonormal(params, table)
     # A table may be a view (a series table's transpose, the top rows of a short
     # table); locking what it views lets OperatorMatrix keep it uncopied.
     if table.base is not None:
@@ -170,18 +156,16 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     """Compression of ``f -> psi * f``: a weighted lower-triangular Toeplitz matrix.
 
     Exact on any ``f`` with ``deg f <= degree - deg psi``; beyond that the
-    product would overflow the truncation and the top rows lose mass.  At
-    ``beta = -1`` the Toeplitz matrix is returned unweighted.
+    product would overflow the truncation and the top rows lose mass.  The
+    Toeplitz matrix is weighted by :func:`~bergman_csym.space._orthonormal`,
+    like a composition matrix; at ``beta = -1`` it is returned unweighted.
     """
     _require_sizes(degree=degree)
     dim = degree + 1
     col = np.zeros(dim, dtype=np.complex128)
     n = min(dim, psi.coeffs.size)
     col[:n] = psi.coeffs[:n]
-    mat = _lower_toeplitz(col)
-    if not params.unit_weights:
-        sqrtw = np.sqrt(_divisor_weights(params, degree))
-        mat = mat * (sqrtw[:, None] / sqrtw[None, :])
+    mat = _orthonormal(params, _lower_toeplitz(col))
     mat.flags.writeable = False
     return OperatorMatrix(mat, params)
 

@@ -61,8 +61,9 @@ class SpaceParams:
     def unit_weights(self) -> bool:
         """Whether every weight is exactly 1: the Hardy space, ``beta = -1``.
 
-        Weighting a table by ``sqrt(w)`` then changes no value, so the table
-        builders skip it; the vector helpers do not distinguish the case.
+        Weighting a table by ``sqrt(w)`` then changes no value, so
+        :func:`_orthonormal` and :func:`_weighted_rows` skip it; the vector
+        helpers do not distinguish the case.
         """
         return self.beta == -1.0
 
@@ -119,6 +120,30 @@ def _divide_parts(values: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> 
     else:
         np.divide(values.T.view(np.float64), divisors[:, None], out=out.T.view(np.float64))
     return out
+
+
+def _orthonormal(params: SpaceParams, table: np.ndarray) -> np.ndarray:
+    """A coefficient table into orthonormal coordinates, in place: ``T[n, m] sqrt(w(n)) / sqrt(w(m))``.
+
+    Row n is multiplied by ``sqrt(w(n))``, then column m divided by ``sqrt(w(m))`` part by
+    part (:func:`_divide_parts`), so each part is correctly rounded; ``table`` is C-contiguous
+    or the transpose of a C-contiguous table.  ``InvalidInputError`` if a weight it reads
+    underflows to 0 (:func:`_divisor_weights`).  At ``beta = -1`` the table is left as it is.
+    """
+    if not params.unit_weights:
+        sqrtw = np.sqrt(_divisor_weights(params, max(table.shape) - 1))
+        # In place: at degree 1024 every temporary table is another 17 MB.
+        table *= sqrtw[: table.shape[0], None]
+        _divide_parts(table, sqrtw[: table.shape[1]], table)
+    return table
+
+
+def _weighted_rows(params: SpaceParams, table: np.ndarray) -> np.ndarray:
+    """Row n of ``table`` multiplied by ``sqrt(w(n))`` in place; left as it is at ``beta = -1``."""
+    if not params.unit_weights:
+        # The weights :func:`_orthonormal` reads for the same table, so one cache entry serves both.
+        table *= np.sqrt(weights(params, max(table.shape) - 1)[: table.shape[0], None])
+    return table
 
 
 def _divided_by_weights(

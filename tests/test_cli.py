@@ -450,6 +450,7 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["gram", "--beta", "1020", "--alpha", "0.5", "--n", "300"],
         ["classify", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--factor", "2"],
         ["classify", "--about", "0.3", "--factor", "0,1", "--a", "5", "--d", "1"],
+        ["gram", "--beta", "1", "--alpha", "0.5", "--n", "3", "--dim", "8"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
@@ -459,7 +460,7 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
          "iterate-nan-seed-3-steps", "kernel-check-weight-underflow", "matrix-weight-underflow",
          "matrix-noninteger-weight-underflow", "gram-binomial-overflow", "subspace-binomial-overflow",
          "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta", "gram-sum-overflow",
-         "factor-without-about", "about-with-coefficients"],
+         "factor-without-about", "about-with-coefficients", "gram-exact-with-dim"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -635,9 +636,10 @@ def test_mixed_symbol_forms_name_the_flags(capsys, argv, message):
     assert run_cli(capsys, ["classify", *argv]) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("name", ["missing/out.json", ""], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("name", ["missing/out.json", "", None], ids=["missing-directory", "directory", "empty"])
 def test_unwritable_output_exits_with_code_two(capsys, tmp_path, name):
-    target = tmp_path / name
+    # None stands for the empty path itself, which names no file.
+    target = "" if name is None else tmp_path / name
     code, out, err = run_cli(capsys, ["witness", "--beta", "0", "--alpha", "0.5", "--output", str(target)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ")

@@ -350,13 +350,16 @@ def test_factorization_at_large_beta_whatever_the_scale_of_d(phi):
     assert verify_hurst(phi, SpaceParams(200), 31, 4) < 1e-7
 
 
-@pytest.mark.parametrize("beta", [-1, 0, 2, 0.5])
+# 2000.5: the weights from n = 219 to 233 are subnormal but not 0.
+@pytest.mark.parametrize("beta", [-1, 0, 2, 0.5, 2000.5])
 def test_multiplication_matrix_equals_scipy_toeplitz(beta):
+    # Weighted like a composition matrix: rows times sqrt(w(n)), then each
+    # part of column m divided by sqrt(w(m)).
     from scipy.linalg import toeplitz
 
     rng = np.random.default_rng(17)
     params = SpaceParams(beta)
-    for degree in (0, 1, 5, 40):
+    for degree in (0, 1, 5, 40, 230):
         for length in (1, 3, 60):
             psi = TruncatedSeries(rng.normal(size=length) + 1j * rng.normal(size=length))
             col = np.zeros(degree + 1, dtype=np.complex128)
@@ -365,7 +368,9 @@ def test_multiplication_matrix_equals_scipy_toeplitz(beta):
             row = np.zeros(degree + 1, dtype=np.complex128)
             row[0] = col[0]
             sqrtw = np.sqrt(weights(params, degree))
-            expected = toeplitz(col, row) * (sqrtw[:, None] / sqrtw[None, :])
+            scaled = toeplitz(col, row) * sqrtw[:, None]
+            expected = np.empty_like(scaled)
+            expected.real, expected.imag = scaled.real / sqrtw, scaled.imag / sqrtw
             got = multiplication_matrix(psi, params, degree).mat
             assert got.tobytes() == expected.tobytes()
 
