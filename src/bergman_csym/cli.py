@@ -443,7 +443,7 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(payload)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            print(f"error: cannot write {args.output!r}: {exc.strerror}", file=sys.stderr)
             return 2
         print(summary)
     else:

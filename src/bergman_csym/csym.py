@@ -405,6 +405,9 @@ def elliptic_certificate(phi: Lft, params: SpaceParams) -> SubspaceReport | None
     non-integer ``beta`` and for ``q < 2 (3 + beta)``.  A report is the band
     fact, which holds from ``q = 2 (3 + beta)``: ``max_cross == 0.0`` is not
     a computed sum.  The paper states its theorem for ``q > 2 (3 + beta)``.
+    Near the circle the coefficients fix the multiplier's angle only to about ``2**-52 /
+    (1 - |alpha|**2)**2`` by any route (fixed point, derivative, ``tr**2 / det``): past the
+    1e-9 of :func:`~bergman_csym.lft.elliptic_order` from |alpha| = 0.9999 on, so ``None``.
     """
     if classify(phi).kind is not MapKind.ELLIPTIC or not params.integer_beta:
         return None

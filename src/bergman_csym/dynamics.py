@@ -136,8 +136,9 @@ def hurst_eigencheck(
     (default ``degree // 4``; coefficients up to it do not depend on the
     truncation), and returns the relative space-norm residual there.
     Truncation error enters only through the slowly decaying binomial tail,
-    so the residual falls as ``degree`` grows; integer exponents terminate
-    and are exact.
+    so the residual falls as ``degree`` grows; an integer exponent terminates,
+    so the check is exact once ``degree >= exponent`` (at degree 0 and exponent 1
+    it reads ``|1 - s|``).
 
     The power function lies in the space only for
     ``exponent > -(beta + 2) / 2``; outside that range the check refuses.

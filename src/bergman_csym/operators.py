@@ -43,7 +43,7 @@ from .errors import (
 from .lft import Lft, involution, make, power_table, scaled, to_series
 from .lft import compose as compose_maps
 from .series import TruncatedSeries, _lower_toeplitz, _require_sizes, binomial_expand, compose, mul, powers
-from .space import SpaceParams, _divided_by_weights, _orthonormal, inner_product, kernel_series, weights
+from .space import SpaceParams, _divided_by_weights, _orthonormal, _weighted_rows, inner_product, kernel_series
 
 __all__ = [
     "OperatorMatrix",
@@ -93,18 +93,18 @@ class OperatorMatrix:
 
 
 def to_coords(params: SpaceParams, f: TruncatedSeries, dim: int) -> np.ndarray:
-    """Coordinates of a series in the orthonormal basis, padded or cut to ``dim``."""
+    """Orthonormal coordinates ``f[n] sqrt(w(n))``, padded or cut to ``dim``: one column of
+    :func:`~bergman_csym.space._weighted_rows`, which reads ``sqrt(w)`` as cached with ``w``."""
     if dim < 1:
         raise InvalidInputError(f"dim must be at least 1, got {dim}")
-    w = weights(params, dim - 1)
     vec = np.zeros(dim, dtype=np.complex128)
-    n = min(dim, f.coeffs.size)
-    vec[:n] = f.coeffs[:n] * np.sqrt(w[:n])
+    vec[: f.coeffs.size] = f.coeffs[:dim]
+    _weighted_rows(params, vec[:, None])
     return vec
 
 
 def from_coords(params: SpaceParams, vec: np.ndarray) -> TruncatedSeries:
-    """Series whose orthonormal coordinates are ``vec``."""
+    """Series with orthonormal coordinates ``vec``: each part of ``vec[n]`` over the cached ``sqrt(w(n))``."""
     vec = np.ascontiguousarray(vec, dtype=np.complex128).reshape(-1)
     if vec.size == 0:
         raise InvalidInputError("vec must hold at least one coordinate, got 0")
@@ -161,11 +161,7 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     like a composition matrix; at ``beta = -1`` it is returned unweighted.
     """
     _require_sizes(degree=degree)
-    dim = degree + 1
-    col = np.zeros(dim, dtype=np.complex128)
-    n = min(dim, psi.coeffs.size)
-    col[:n] = psi.coeffs[:n]
-    mat = _orthonormal(params, _lower_toeplitz(col))
+    mat = _orthonormal(params, _lower_toeplitz(psi.resized(degree).coeffs))
     mat.flags.writeable = False
     return OperatorMatrix(mat, params)
 

@@ -61,9 +61,9 @@ class SpaceParams:
     def unit_weights(self) -> bool:
         """Whether every weight is exactly 1: the Hardy space, ``beta = -1``.
 
-        Weighting a table by ``sqrt(w)`` then changes no value, so
-        :func:`_orthonormal` and :func:`_weighted_rows` skip it; the vector
-        helpers do not distinguish the case.
+        Weighting by ``sqrt(w)`` then changes no value, so :func:`_orthonormal` and
+        :func:`_weighted_rows` skip it, and with them every table and
+        :func:`~bergman_csym.operators.to_coords`.
         """
         return self.beta == -1.0
 
@@ -79,19 +79,20 @@ def _weights_cached(beta: float, n_max: int) -> np.ndarray:
         # w(n) = prod_{k<=n} k / (k + 1 + beta)
         k = np.arange(1, n_max + 1.0)
         arr = np.concatenate(([1.0], np.cumprod(k / (k + 1.0 + beta))))
-    arr.flags.writeable = False
-    return arr
+    rows = np.array([arr, np.sqrt(arr)])  # w and sqrt(w): the one square root of a weight
+    rows.flags.writeable = False
+    return rows
 
 
 def weights(params: SpaceParams, n_max: int) -> np.ndarray:
     """Weights ``w(0), ..., w(n_max)`` as a read-only array (cached)."""
     if n_max < 0:
         raise InvalidInputError(f"n_max must be nonnegative, got {n_max}")
-    return _weights_cached(params.beta, n_max)
+    return _weights_cached(params.beta, n_max)[0]
 
 
 def _divisor_weights(params: SpaceParams, n_max: int) -> np.ndarray:
-    """``weights(params, n_max)`` for a caller that divides by them; ``InvalidInputError`` if one is 0.
+    """Rows ``w`` and ``sqrt(w)`` for a caller that divides by them; ``InvalidInputError`` if a weight is 0.
 
     Weights decrease in n, so the last one decides; far enough out they underflow.
     """
@@ -101,7 +102,7 @@ def _divisor_weights(params: SpaceParams, n_max: int) -> np.ndarray:
             f"weight w({np.count_nonzero(w)}) underflows to 0 at beta = {params.beta}; "
             f"a division by it leaves the double range"
         )
-    return w
+    return _weights_cached(params.beta, n_max)
 
 
 def _divide_parts(values: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -125,13 +126,13 @@ def _divide_parts(values: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> 
 def _orthonormal(params: SpaceParams, table: np.ndarray) -> np.ndarray:
     """A coefficient table into orthonormal coordinates, in place: ``T[n, m] sqrt(w(n)) / sqrt(w(m))``.
 
-    Row n is multiplied by ``sqrt(w(n))``, then column m divided by ``sqrt(w(m))`` part by
-    part (:func:`_divide_parts`), so each part is correctly rounded; ``table`` is C-contiguous
-    or the transpose of a C-contiguous table.  ``InvalidInputError`` if a weight it reads
-    underflows to 0 (:func:`_divisor_weights`).  At ``beta = -1`` the table is left as it is.
+    Row n is multiplied by ``sqrt(w(n))``, as cached with ``w``, then column m divided by
+    ``sqrt(w(m))`` part by part (:func:`_divide_parts`), so each part is correctly rounded;
+    ``table`` is C-contiguous or the transpose of one.  ``InvalidInputError`` if a weight it
+    reads underflows to 0 (:func:`_divisor_weights`).  At ``beta = -1`` it is left as it is.
     """
     if not params.unit_weights:
-        sqrtw = np.sqrt(_divisor_weights(params, max(table.shape) - 1))
+        sqrtw = _divisor_weights(params, max(table.shape) - 1)[1]
         # In place: at degree 1024 every temporary table is another 17 MB.
         table *= sqrtw[: table.shape[0], None]
         _divide_parts(table, sqrtw[: table.shape[1]], table)
@@ -141,8 +142,8 @@ def _orthonormal(params: SpaceParams, table: np.ndarray) -> np.ndarray:
 def _weighted_rows(params: SpaceParams, table: np.ndarray) -> np.ndarray:
     """Row n of ``table`` multiplied by ``sqrt(w(n))`` in place; left as it is at ``beta = -1``."""
     if not params.unit_weights:
-        # The weights :func:`_orthonormal` reads for the same table, so one cache entry serves both.
-        table *= np.sqrt(weights(params, max(table.shape) - 1)[: table.shape[0], None])
+        # The cache entry :func:`_orthonormal` reads for the same table.
+        table *= _weights_cached(params.beta, max(table.shape) - 1)[1, : table.shape[0], None]
     return table
 
 
@@ -155,8 +156,7 @@ def _divided_by_weights(
     (:func:`_divide_parts`).  ``InvalidInputError`` names the first ``n`` whose quotient
     leaves the double range.
     """
-    w = _divisor_weights(params, n_max)
-    divisors = np.sqrt(w) if root else w
+    divisors = _divisor_weights(params, n_max)[1 if root else 0]
     values = np.asarray(values)
     with np.errstate(over="ignore", invalid="ignore"):
         if np.iscomplexobj(values):

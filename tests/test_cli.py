@@ -642,7 +642,7 @@ def test_unwritable_output_exits_with_code_two(capsys, tmp_path, name):
     target = "" if name is None else tmp_path / name
     code, out, err = run_cli(capsys, ["witness", "--beta", "0", "--alpha", "0.5", "--output", str(target)])
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
     assert err.count("\n") == 1
 
 

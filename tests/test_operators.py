@@ -755,3 +755,31 @@ def test_products_with_underflowed_weights_stay_finite():
     assert not coords[234:].any() and coords[233] != 0.0
     assert norm(_UNDERFLOW, f) ** 2 == pytest.approx(inner_product(_UNDERFLOW, f, f).real)
     assert composition_matrix(involution(0.3), _UNDERFLOW, 233).mat.shape == (234, 234)
+
+
+# Parts of every sign of zero, among them the (-0, y < 0) and (x >= 0, -0) that a numpy
+# complex product by a real turns into +0.
+_SIGNED_ZEROS = [complex(-0.0, -1.5), complex(0.0, -0.0), complex(2.0, -0.0), complex(-0.0, 0.0),
+                 complex(-0.0, -0.0), complex(-3.0, -0.0)]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 230, 600])
+@pytest.mark.parametrize("beta", [-1, 0, 2.5, 2000.5])
+def test_coordinates_are_coefficients_times_the_square_roots_of_the_weights(beta, n_max):
+    params = SpaceParams(beta)
+    rng = np.random.default_rng(48)
+    values = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+    values[::7] = np.resize(_SIGNED_ZEROS, values[::7].size)
+    w = weights(params, n_max)
+    sqrtw = np.sqrt(w)
+    # the product by sqrt(w) is numpy's complex-by-real one; at beta = -1, where
+    # sqrt(w) = 1, it is skipped and the zero signs that product would change stay
+    expected = values if params.unit_weights else values * sqrtw
+    assert to_coords(params, TruncatedSeries(values), n_max + 1).tobytes() == expected.tobytes()
+    if w[-1] == 0.0:
+        with pytest.raises(InvalidInputError, match=_ZERO_WEIGHT):
+            from_coords(params, values)
+        return
+    parts = values.view(np.float64).reshape(-1, 2)
+    quotient = (parts / sqrtw[:, None]).view(np.complex128).reshape(-1)
+    assert from_coords(params, values).coeffs.tobytes() == quotient.tobytes()

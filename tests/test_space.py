@@ -19,6 +19,7 @@ from bergman_csym import (
     weight_reciprocal_sums,
     weights,
 )
+from bergman_csym.space import _weights_cached
 import exact
 from helpers import random_poly
 
@@ -54,6 +55,21 @@ def test_hardy_weights_all_one():
     assert np.all(weights(SpaceParams(-1), 4096) == 1.0) and SpaceParams(-1).unit_weights
     for beta in (-0.999, -0.5, 0, 1, 2.5):
         assert not SpaceParams(beta).unit_weights
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 230, 600])
+@pytest.mark.parametrize("beta", [-1, 0, 2.5, 2000.5])
+def test_square_roots_of_the_weights_are_cached_beside_them(beta, n_max):
+    # at beta = 2000.5 the weights are subnormal from w(218) on and 0 from w(234) on
+    params = SpaceParams(beta)
+    rows = _weights_cached(params.beta, n_max)
+    assert rows is _weights_cached(params.beta, n_max) and rows.shape == (2, n_max + 1)
+    assert not rows.flags.writeable and not rows[1].flags.writeable
+    with pytest.raises(ValueError):
+        rows[1].flags.writeable = True
+    w = weights(params, n_max)
+    assert w.tobytes() == rows[0].tobytes()
+    assert rows[1].tobytes() == np.sqrt(w).tobytes()
 
 
 def test_weights_strictly_decreasing_above_hardy():
