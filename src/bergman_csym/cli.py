@@ -212,6 +212,7 @@ def _cmd_gram(args):
         if degree is None:
             raise ToolkitError("non-integer beta needs --dim for the truncated route")
         table = gram_truncated(params, args.alpha, args.n, degree)
+    in_band, out_of_band = table.max_in_band(), table.max_out_of_band()
     if args.format == "csv":
         n, m = np.divmod(np.arange(table.size**2), table.size)
         entries = table.entries.reshape(-1)
@@ -222,14 +223,11 @@ def _cmd_gram(args):
             "alpha": args.alpha,
             "size": table.size,
             "entries": table.entries.reshape(-1),
-            "max_in_band": table.max_in_band(),
-            "max_out_of_band": table.max_out_of_band(),
+            "max_in_band": in_band,
+            "max_out_of_band": out_of_band,
         }
         payload = _json_payload(fields)
-    summary = (
-        f"gram {table.size}x{table.size}: max in-band {_f(table.max_in_band())}, "
-        f"max out-of-band {_f(table.max_out_of_band())}"
-    )
+    summary = f"gram {table.size}x{table.size}: max in-band {_f(in_band)}, max out-of-band {_f(out_of_band)}"
     return payload, summary
 
 
@@ -367,7 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("hurst-check", parents=[output, symbol, beta], help="adjoint factorization residual")
-    p.add_argument("--dim", type=int, default=256)
+    p.add_argument("--dim", type=int, default=256,
+                   help="the residual does not depend on it; it only bounds --block to at most (dim - 1) // 4")
     p.add_argument("--block", type=int, default=8)
 
     p = subs.add_parser("gram", parents=[output, beta], help="adjoint-image Gram table")

@@ -36,7 +36,6 @@ from .errors import (
     DimMismatchError,
     IntegerBetaError,
     InvalidInputError,
-    NonIntegerBetaError,
     NotAnEigenvectorError,
     require_in_disk,
 )
@@ -45,6 +44,7 @@ from .operators import (
     OperatorMatrix,
     _binomial_alpha_weights,
     _exact_beta,
+    _integer_beta,
     _owned_square,
     from_coords,
 )
@@ -288,12 +288,11 @@ def gram_exact(params: SpaceParams, alpha: complex, size: int) -> GramTable:
     and what runs element-wise (a complex scalar times a real ``c``, complex
     sums) rounds as its scalar form does.
     """
-    if not params.integer_beta:
-        raise NonIntegerBetaError(f"exact gram table needs integer beta, got {params.beta}")
+    beta = _integer_beta(params, "exact gram table")
     alpha = require_in_disk(alpha)
     if size < 1:
         raise InvalidInputError(f"size must be at least 1, got {size}")
-    band = min(int(params.beta) + 2, size - 1)
+    band = min(beta + 2, size - 1)
     entries = np.zeros((size, size), dtype=np.complex128)
     for d, m, values in _band_diagonals(params, alpha, size, range(-band, band + 1)):
         entries[m + d, m] = values
@@ -371,12 +370,10 @@ def subspace_orthogonality(
     memory and with no table, and ``guaranteed`` is False: nothing forces them
     to vanish there.
     """
-    if not params.integer_beta:
-        raise NonIntegerBetaError(f"subspace certificate needs integer beta, got {params.beta}")
+    shift = _integer_beta(params, "subspace certificate") + 3
     if order < 1 or count < 1:
         raise InvalidInputError(f"order and count must be positive, got {order} and {count}")
     alpha = require_in_disk(alpha)
-    shift = int(params.beta) + 3
     threshold = 2 * shift
     max_cross = 0.0
     if order < threshold:
@@ -442,10 +439,10 @@ def obstruction_witness(alpha: complex, beta: float) -> WitnessReport:
     structure to exist, so any ``alpha != 0`` certifies the obstruction.
     ``beta`` obeys the bound of the other exact formulas, ``beta <= 1027``.
     """
-    if not float(beta).is_integer():
-        raise NonIntegerBetaError(f"witness exponent 3 + beta must be an integer, got {beta}")
+    params = SpaceParams(beta)
+    exponent = _integer_beta(params, "the obstruction witness") + 3
     alpha = require_in_disk(alpha)
-    exponent = _exact_beta(SpaceParams(beta).beta) + 3
+    _exact_beta(params.beta)
     truncated = complex(power_table(involution(alpha), exponent + 1, 0)[0, exponent])
     direct = alpha**exponent
     return WitnessReport(

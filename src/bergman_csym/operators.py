@@ -42,7 +42,7 @@ from .errors import (
 )
 from .lft import Lft, involution, make, power_table, scaled, to_series
 from .lft import compose as compose_maps
-from .series import TruncatedSeries, _lower_toeplitz, _require_sizes, binomial_expand, compose, mul, powers
+from .series import TruncatedSeries, _lower_toeplitz, binomial_expand, compose, mul, powers
 from .space import SpaceParams, _divided_by_weights, _orthonormal, _weighted_rows, inner_product, kernel_series
 
 __all__ = [
@@ -138,7 +138,6 @@ def composition_matrix(symbol, params: SpaceParams, degree: int) -> OperatorMatr
     in place by :func:`~bergman_csym.space._orthonormal`; at ``beta = -1``
     the matrix is the power table itself.
     """
-    _require_sizes(degree=degree)
     if isinstance(symbol, Lft):
         table = power_table(symbol, degree + 1, degree)
     else:
@@ -160,7 +159,6 @@ def multiplication_matrix(psi: TruncatedSeries, params: SpaceParams, degree: int
     Toeplitz matrix is weighted by :func:`~bergman_csym.space._orthonormal`,
     like a composition matrix; at ``beta = -1`` it is returned unweighted.
     """
-    _require_sizes(degree=degree)
     mat = _orthonormal(params, _lower_toeplitz(psi.resized(degree).coeffs))
     mat.flags.writeable = False
     return OperatorMatrix(mat, params)
@@ -256,7 +254,6 @@ def kernel_check(params: SpaceParams, degree: int, cases: int, seed: int) -> flo
     and polynomials of degree at most 10 drawn from ``default_rng(seed)``, ``f o phi`` cut to ``degree``."""
     if cases < 1 or seed < 0:
         raise InvalidInputError(f"need cases >= 1 and seed >= 0, got cases={cases}, seed={seed}")
-    _require_sizes(degree=degree)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -271,6 +268,13 @@ def kernel_check(params: SpaceParams, degree: int, cases: int, seed: int) -> flo
         paired = inner_product(params, pushed, kernel_series(params, alpha, degree))
         worst = max(worst, abs(paired - f(phi(alpha))))
     return worst
+
+
+def _integer_beta(params: SpaceParams, formula: str) -> int:
+    """``int(beta)`` for an exact integer-beta formula, or ``NonIntegerBetaError`` naming it."""
+    if not params.integer_beta:
+        raise NonIntegerBetaError(f"{formula} needs integer beta, got {params.beta}")
+    return int(params.beta)
 
 
 # The largest integer beta whose binomials C(2+beta, k) are all doubles: C(1030, 515) is not.
@@ -335,10 +339,7 @@ def involution_adjoint_apply(
     For the image of a monomial, :func:`~bergman_csym.csym.adjoint_monomial`
     is the accurate route.
     """
-    if not params.integer_beta:
-        raise NonIntegerBetaError(
-            f"the finite adjoint formula needs integer beta, got {params.beta}"
-        )
+    _integer_beta(params, "the finite adjoint formula")
     alpha = require_in_disk(alpha)
     r = _binomial_alpha_weights(alpha, params.beta)
     return _cowen_sum(params, alpha, f, degree, r)

@@ -157,9 +157,10 @@ def mul(f: TruncatedSeries, g: TruncatedSeries, degree: int) -> TruncatedSeries:
 def powers(g: TruncatedSeries, count: int, degree: int) -> np.ndarray:
     """Truncated powers ``g**0, ..., g**(count-1)``, the columns of a ``(degree+1, count)`` array.
 
-    Each power is the previous one times ``g``, cut at ``degree``, and is
-    filled as one contiguous row of a row-major ``(count, degree+1)`` table;
-    the result is that table's transpose, a column-major view.  The table is
+    Each power is the previous one times ``g``, cut at ``degree``, filled as one
+    contiguous row; the result is the transpose.  Filled column by column into a
+    C-order table, the degree-255 and -511 composition matrices of a degree-6
+    polynomial took 5% and 18% longer (one BLAS thread, 2-CPU x86-64 VM).  The table is
     checked for finiteness once, which rejects what a check per power would:
     see :func:`compose`.
     """

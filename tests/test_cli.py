@@ -451,6 +451,7 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
         ["classify", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1", "--factor", "2"],
         ["classify", "--about", "0.3", "--factor", "0,1", "--a", "5", "--d", "1"],
         ["gram", "--beta", "1", "--alpha", "0.5", "--n", "3", "--dim", "8"],
+        ["witness", "--beta", "0.5", "--alpha", "0.5"],
     ],
     ids=["beta-below-range", "beta-nan", "gram-size-0", "negative-steps", "order-0", "dim-0",
          "negative-degree", "subspace-alpha-nan", "gram-alpha-nan", "gram-truncated-size-negative",
@@ -460,7 +461,8 @@ def test_classify_contraction_is_not_an_automorphism(capsys):
          "iterate-nan-seed-3-steps", "kernel-check-weight-underflow", "matrix-weight-underflow",
          "matrix-noninteger-weight-underflow", "gram-binomial-overflow", "subspace-binomial-overflow",
          "gram-huge-beta", "gram-scale-overflow", "witness-huge-beta", "gram-sum-overflow",
-         "factor-without-about", "about-with-coefficients", "gram-exact-with-dim"],
+         "factor-without-about", "about-with-coefficients", "gram-exact-with-dim",
+         "witness-noninteger-beta"],
 )
 def test_invalid_input_exits_with_code_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

@@ -441,9 +441,20 @@ def test_gram_truncated_serves_noninteger_parameters():
     assert np.max(np.abs(table.entries - table.entries.conj().T)) < 1e-10
 
 
-def test_gram_exact_requires_integer_parameter():
-    with pytest.raises(NonIntegerBetaError):
-        gram_exact(SpaceParams(0.5), 0.4, 8)
+@pytest.mark.parametrize(
+    "call,formula",
+    [
+        (lambda: gram_exact(SpaceParams(0.5), 0.4, 8), "exact gram table"),
+        (lambda: subspace_orthogonality(SpaceParams(0.5), 0.4, 8, 4), "subspace certificate"),
+        (lambda: involution_adjoint_apply(SpaceParams(0.5), 0.3, TruncatedSeries.monomial(1, 8), 8),
+         "the finite adjoint formula"),
+        (lambda: obstruction_witness(0.4, 0.5), "the obstruction witness"),
+    ],
+    ids=["gram_exact", "subspace_orthogonality", "involution_adjoint_apply", "obstruction_witness"],
+)
+def test_gram_exact_requires_integer_parameter(call, formula):
+    with pytest.raises(NonIntegerBetaError, match=f"^{formula} needs integer beta, got 0.5$"):
+        call()
 
 
 def _gram_entries(params, alpha, pairs):

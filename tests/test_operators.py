@@ -11,7 +11,6 @@ from bergman_csym import (
     DimMismatchError,
     InvalidInputError,
     Lft,
-    NonIntegerBetaError,
     NotSelfMapError,
     OperatorMatrix,
     SpaceParams,
@@ -590,11 +589,6 @@ def test_involution_adjoint_sends_kernel_to_constant():
     out = involution_adjoint_apply(params, 0.5, kernel_series(params, 0.5, 256), 256)
     assert abs(out.coeffs[0] - 1.0) < 1e-8
     assert np.max(np.abs(out.coeffs[1:65])) < 1e-8
-
-
-def test_involution_adjoint_requires_integer_weight_parameter():
-    with pytest.raises(NonIntegerBetaError):
-        involution_adjoint_apply(SpaceParams(0.5), 0.3, monomial(1, 8), 8)
 
 
 def test_finite_sum_sign_convention_is_discriminating():

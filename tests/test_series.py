@@ -19,10 +19,13 @@ from bergman_csym import (
     binomial_expand,
     compose,
     compose_maps,
+    composition_matrix,
     hurst_factors,
     hyperbolic_model,
     involution,
+    kernel_check,
     mul,
+    multiplication_matrix,
     reciprocal_linear,
     rotation,
     scaled,
@@ -249,10 +252,19 @@ def test_overflow_inside_a_loop_is_rejected(build):
         (lambda: hurst_factors(involution(0.5), SpaceParams(0), -1),
          "degree must be nonnegative, got -1"),
         (lambda: reciprocal_linear(1.0, 2.0, -1), "degree must be nonnegative, got -1"),
+        (lambda: composition_matrix(involution(0.5), SpaceParams(0), -1),
+         "degree must be nonnegative, got -1"),
+        (lambda: composition_matrix(TruncatedSeries([0.1, 0.5]), SpaceParams(0), -1),
+         "degree must be nonnegative, got -1"),
+        (lambda: multiplication_matrix(TruncatedSeries([1.0, 0.5]), SpaceParams(0), -1),
+         "degree must be nonnegative, got -1"),
+        (lambda: kernel_check(SpaceParams(0), -1, 2, 0), "degree must be nonnegative, got -1"),
     ],
     ids=["empty", "nan", "powers-overflow", "mobius-powers-overflow", "compose-overflow",
          "conjugation-not-unitary", "conjugation-not-symmetric", "binomial-negative-degree",
-         "hurst-negative-degree", "reciprocal-negative-degree"],
+         "hurst-negative-degree", "reciprocal-negative-degree", "composition-map-negative-degree",
+         "composition-series-negative-degree", "multiplication-negative-degree",
+         "kernel-check-negative-degree"],
 )
 def test_bad_series_and_conjugations_are_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=message):
